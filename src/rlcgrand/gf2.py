@@ -8,7 +8,6 @@ used by the packet simulator (tens of rows and columns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -204,81 +203,3 @@ def solve_unique(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
         pivot_col = (work[i] & mask_a).bit_length() - 1
         x_rows[pivot_col] = work[i] >> n
     return BitMatrix(n, b.cols, x_rows)
-
-
-def matvec_check(a: BitMatrix, w: Sequence[int], s: Sequence[int]) -> bool:
-    """True iff a·wᵀ == s over GF(2); vacuously true for a 0-row matrix."""
-    if len(w) != a.cols:
-        raise ValueError(f"vector length {len(w)} does not match {a.cols} columns")
-    if len(s) != a.rows:
-        raise ValueError(f"target length {len(s)} does not match {a.rows} rows")
-    w_mask = 0
-    for j, bit in enumerate(w):
-        w_mask |= (bit & 1) << j
-    for i in range(a.rows):
-        if bit_parity(a.row_ints[i] & w_mask) != (s[i] & 1):
-            return False
-    return True
-
-
-def bit_parity(x: int) -> int:
-    return bin(x).count("1") & 1
-
-
-@dataclass(frozen=True)
-class ColumnOpsRecord:
-    """Record of the reduction that brought a generator to standard form.
-
-    `col_ops` is the K×K invertible matrix M with (row_perm applied to G)·M
-    equal to [I_K; P] stacked.  `row_perm` is the identity tuple unless the
-    leading K×K block of G was singular and rows had to be reordered.
-    """
-
-    col_ops: BitMatrix
-    row_perm: tuple[int, ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.col_ops == BitMatrix.identity(self.col_ops.rows) and self.row_perm == tuple(
-            range(len(self.row_perm))
-        )
-
-
-def to_standard_form(g: BitMatrix) -> tuple[BitMatrix, ColumnOpsRecord] | None:
-    """Column-reduce an N×K generator to [I_K; P] form.
-
-    Returns (P, record) where P is (N-K)×K, or None when rank(g) < K.
-    Column operations act on the right; when the first K rows of g do not
-    already span GF(2)^K a row permutation is recorded as well, so that the
-    permuted, column-reduced matrix is exactly [I_K; P].
-    """
-    n, k = g.rows, g.cols
-    if n < k:
-        raise ValueError("generator must have at least as many rows as columns")
-    cols = list(g.col_ints())
-    ops = [1 << i for i in range(k)]  # column view of M, starts as identity
-    pivot_rows: list[int] = []
-    p = 0
-    for r in range(n):
-        if p == k:
-            break
-        row_bit = 1 << r
-        hit = next((c for c in range(p, k) if cols[c] & row_bit), None)
-        if hit is None:
-            continue
-        cols[p], cols[hit] = cols[hit], cols[p]
-        ops[p], ops[hit] = ops[hit], ops[p]
-        for c in range(k):
-            if c != p and cols[c] & row_bit:
-                cols[c] ^= cols[p]
-                ops[c] ^= ops[p]
-        pivot_rows.append(r)
-        p += 1
-    if p < k:
-        return None
-    rest = [r for r in range(n) if r not in set(pivot_rows)]
-    perm = tuple(pivot_rows + rest)
-    p_rows = [sum(((cols[c] >> r) & 1) << c for c in range(k)) for r in rest]
-    p_mat = BitMatrix(n - k, k, p_rows)
-    m_mat = BitMatrix(k, k, ops).transpose()  # ops holds M column-wise
-    return p_mat, ColumnOpsRecord(col_ops=m_mat, row_perm=perm)

@@ -1,0 +1,190 @@
+"""Exact first-hit search shared by the syndrome and transversal-GRAND decoders.
+
+Both receivers solve one linear system ht·w = t per bit position by
+querying candidate error columns w in a fixed order and keeping the first
+that satisfies the syndrome; they differ only in that order.  A decoder
+describes its order (`CandidateOrder`) by a generator of candidate masks
+in query order and the closed-form position of any mask in that order.
+
+The solutions of one column form a coset x0 + ker(ht) of dimension
+d = L - rank(ht).  Eliminating the columns of ht once per system, with a
+record of which columns were combined, gives a particular solution x0 for
+any target and a basis of the kernel.  A target is then resolved in two
+steps:
+
+- scan: test candidates in query order, at most min(2^d, cap) of them.
+  The first position of every syndrome seen is memoised, so later targets
+  in the same order continue the scan instead of restarting it;
+- rank: if the scan found no hit and 2^d < cap, the first hit lies past
+  position 2^d; it is the coset member with the smallest position.  The
+  orders are blocked (weight layers, likelihood classes), so only the
+  members in the earliest block need their full position.
+
+A hit past the cap, or a target outside the column space of ht, leaves
+the column unresolved at a cost of min(2^L, cap) queries, exactly as if
+the order had been walked to the cap.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+from math import comb
+from typing import Callable, Iterator, Protocol, Sequence
+
+# A first hit: (candidate mask, queries used), or (None, queries) when the
+# column is unresolved.
+Hit = tuple[int | None, int]
+
+
+class CandidateOrder(Protocol):
+    """A decoder's query order over all 2^L candidate masks."""
+
+    def masks(self) -> Iterator[int]:
+        """Every candidate mask, in query order."""
+
+    def block(self, mask: int) -> int:
+        """Number of candidates queried before the block that holds `mask`."""
+
+    def position(self, mask: int) -> int:
+        """1-based query position of `mask`."""
+
+
+class SearchCore:
+    """Coset structure of one syndrome system, eliminated once.
+
+    `cols` are the columns of ht as bitmasks (bit i = check i).  `dim` is
+    the coset dimension d = L - rank(ht); for a received batch it equals
+    K - rank(G_R).
+
+    Work bound: the scan of one order tests at most min(2^d, cap)
+    candidates in all, shared by every target in that order; a target the
+    scan misses costs at most 2^d block and 2^d position evaluations more.
+    """
+
+    def __init__(self, cols: Sequence[int], query_cap: int):
+        # Each pivot is (pivot bit, reduced column, mask of the original
+        # columns whose XOR gives it); a column that reduces to zero gives
+        # the mask of a kernel vector.
+        pivots: list[tuple[int, int, int]] = []
+        kernel: list[int] = []
+        for j, col in enumerate(cols):
+            combo = 1 << j
+            for bit, vec, vec_combo in pivots:
+                if col & bit:
+                    col ^= vec
+                    combo ^= vec_combo
+            if col:
+                pivots.append((col & -col, col, combo))
+            else:
+                kernel.append(combo)
+        self._pivots = pivots
+        self._kernel = kernel
+        self.dim = len(kernel)
+        self.query_cap = query_cap
+        self.miss_cost = min(1 << len(cols), query_cap)
+        self.syndrome = _syndrome_function(cols)
+
+    def particular(self, target: int) -> int | None:
+        """Some w with ht·w = target, or None when the target is out of reach."""
+        x0 = 0
+        for bit, vec, combo in self._pivots:
+            if target & bit:
+                target ^= vec
+                x0 ^= combo
+        return None if target else x0
+
+    def coset(self, x0: int) -> list[int]:
+        """All 2^d solutions x0 + ker(ht)."""
+        members = [x0]
+        for v in self._kernel:
+            members += [m ^ v for m in members]
+        return members
+
+
+class OrderedSearch:
+    """First-hit lookups in one candidate order, memoised per target."""
+
+    def __init__(self, core: SearchCore, order: CandidateOrder):
+        self._core = core
+        self._order = order
+        self._masks = order.masks()
+        self._scan_limit = min(1 << core.dim, core.query_cap)
+        self._scanned = 0
+        # Syndrome -> first hit.  Holds every syndrome the scan has seen
+        # and every target resolved after it.
+        self._found: dict[int, Hit] = {}
+
+    def find(self, target: int) -> Hit:
+        """(first satisfying mask, its 1-based position) or (None, miss cost)."""
+        hit = self._found.get(target)
+        if hit is None:
+            hit = self._resolve(target)
+            self._found[target] = hit
+        return hit
+
+    def _resolve(self, target: int) -> Hit:
+        core = self._core
+        x0 = core.particular(target)
+        if x0 is None:
+            return None, core.miss_cost
+        found, syndrome, n = self._found, core.syndrome, self._scanned
+        for mask in islice(self._masks, self._scan_limit - n):
+            n += 1
+            s = syndrome(mask)
+            if s not in found:
+                found[s] = (mask, n)
+                if s == target:
+                    self._scanned = n
+                    return mask, n
+        self._scanned = n
+        if self._scan_limit == core.query_cap:  # the scan walked the whole capped prefix
+            return None, core.miss_cost
+        members = core.coset(x0)
+        blocks = [self._order.block(m) for m in members]
+        first = min(blocks)
+        pos, mask = min(
+            (self._order.position(m), m) for m, b in zip(members, blocks) if b == first
+        )
+        if pos > core.query_cap:
+            return None, core.miss_cost
+        return mask, pos
+
+
+def lex_rank(mask: int, index: Sequence[int], n: int, k: int) -> int:
+    """0-based rank of a k-subset of n ordered positions, in combinations order.
+
+    Bit p of `mask` selects the position at index[p] of the n; the order
+    is that of itertools.combinations over the n positions, i.e.
+    lexicographic by index.  Bits must ascend with their indices.
+    """
+    r = comb(n, k) - 1
+    while mask:
+        low = mask & -mask
+        r -= comb(n - 1 - index[low.bit_length() - 1], k)
+        k -= 1
+        mask ^= low
+    return r
+
+
+def _syndrome_function(cols: Sequence[int]) -> Callable[[int], int]:
+    """mask -> XOR of cols[j] over the set bits j, via one table per byte."""
+    tables = []
+    for start in range(0, len(cols), 8):
+        table = [0]
+        for col in cols[start : start + 8]:
+            table += [v ^ col for v in table]
+        tables.append(table)
+    if len(tables) <= 1:
+        return (tables[0] if tables else [0]).__getitem__
+    if len(tables) == 2:
+        low, high = tables
+        return lambda m: low[m & 0xFF] ^ high[m >> 8]
+
+    def syndrome(m: int) -> int:
+        s = 0
+        for table in tables:
+            s ^= table[m & 0xFF]
+            m >>= 8
+        return s
+
+    return syndrome

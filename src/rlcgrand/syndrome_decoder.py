@@ -3,30 +3,34 @@
 The receiver knows S = Hᵀ·Y, which equals (H restricted to corrupted
 rows)ᵀ times the unknown error rows.  Each bit position b gives one
 linear system; the repair picks, per column, the lightest error vector
-consistent with that syndrome.  Candidates are tried in weight order
+consistent with that syndrome.  Candidates are queried in weight order
 (0, 1, 2, ...), lexicographic by support within a weight, so runs are
 reproducible; a query cap bounds the search per column.
+
+The first hit is found with the shared search core (`search.py`).  The
+solutions of one column form a coset of dimension d = L - rank(ht); the
+core tests at most 2^d candidates in weight order and, if none hits,
+takes the coset member with the smallest position
+
+    sum of C(L, w') over w' < w, + lexrank(support) + 1
+
+for a support of weight w.  The estimate and the reported query count
+equal those of walking the order to the first hit, or to the query cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from . import gf2
-from ._patterns import RankedSearch, combination_masks, subset_syndromes
 from .gf2 import BitMatrix
 from .rlc import ParityCheck
+from .search import CandidateOrder, OrderedSearch, SearchCore, lex_rank
 
 DEFAULT_QUERY_CAP = 1 << 20
-
-# Vectorized search needs syndromes in a machine word and combination
-# masks in uint64; anything larger falls back to the scalar path.
-_FAST_MAX_CHECKS = 64
-_FAST_MAX_UNKNOWNS = 62
 
 
 @dataclass(frozen=True)
@@ -75,30 +79,23 @@ def sd_solve_column(
     Search order: weight 0, 1, 2, ...; within a weight, support sets in
     lexicographic position order.
     """
-    if len(s) != ht.rows:
-        raise ValueError(f"syndrome length {len(s)} does not match {ht.rows} checks")
-    target = _bits_to_mask(s)
-    mask, _ = _solve_mask_scalar(ht.col_ints(), ht.cols, target, query_cap)
-    if mask is None:
-        return None
-    return _mask_to_bits(mask, ht.cols)
+    return _solve_column(ht, s, _WeightOrder(ht.cols), query_cap)
 
 
 def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> RepairResult:
     """Solve every column of the system independently at minimum weight.
 
     Columns whose search exceeds the cap are left all-zero and reported
-    in `unresolved`.
+    in `unresolved`.  All columns share one candidate order, so one
+    search serves every target.
     """
     l = system.num_unknowns
-    cols = system.ht.col_ints()
-    targets = system.s.col_ints()
+    search = OrderedSearch(SearchCore(system.ht.col_ints(), query_cap), _WeightOrder(l))
     out_cols: list[int] = []
     queries: list[int] = []
     unresolved: list[int] = []
-    finder = _make_finder(cols, l, system.ht.rows, query_cap)
-    for b, target in enumerate(targets):
-        mask, q = finder(target)
+    for b, target in enumerate(system.s.col_ints()):
+        mask, q = search.find(target)
         queries.append(q)
         if mask is None:
             unresolved.append(b)
@@ -111,47 +108,38 @@ def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> Rep
     )
 
 
-def _make_finder(cols, l, checks, query_cap):
-    """Shared-stream finder; all columns scan one candidate order, so the
-    first hit per target equals the per-column search result."""
-    if checks <= _FAST_MAX_CHECKS and l <= _FAST_MAX_UNKNOWNS:
-        search = RankedSearch(_weight_blocks(cols, l), 1 << l, query_cap)
-        return search.find
-    memo: dict[int, tuple[int | None, int]] = {}
+class _WeightOrder:
+    """Weight 0, 1, 2, ... over L unknowns; lexicographic supports within a weight."""
 
-    def scalar_find(target: int) -> tuple[int | None, int]:
-        if target not in memo:
-            memo[target] = _solve_mask_scalar(cols, l, target, query_cap)
-        return memo[target]
+    def __init__(self, l: int):
+        self._l = l
+        # _offsets[w] = number of candidates lighter than w.
+        self._offsets = list(accumulate((comb(l, w) for w in range(l)), initial=0))
 
-    return scalar_find
+    def masks(self) -> Iterator[int]:
+        bits = [1 << j for j in range(self._l)]
+        for w in range(self._l + 1):
+            for combo in combinations(bits, w):
+                yield sum(combo)
 
+    def block(self, mask: int) -> int:
+        return self._offsets[mask.bit_count()]
 
-def _weight_blocks(cols, l: int) -> Iterator[tuple[np.ndarray, object]]:
-    col_list = list(cols)
-    for w in range(l + 1):
-        masks = combination_masks(l, w)
-        syn = subset_syndromes(masks, col_list)
-        yield syn, lambda i, m=masks: int(m[i])
+    def position(self, mask: int) -> int:
+        w = mask.bit_count()
+        return self._offsets[w] + lex_rank(mask, range(self._l), self._l, w) + 1
 
 
-def _solve_mask_scalar(cols, l: int, target: int, query_cap: int) -> tuple[int | None, int]:
-    """Reference enumeration with arbitrary-size syndrome ints."""
-    queries = 0
-    for w in range(l + 1):
-        for combo in combinations(range(l), w):
-            if queries == query_cap:
-                return None, queries
-            queries += 1
-            acc = 0
-            for j in combo:
-                acc ^= cols[j]
-            if acc == target:
-                mask = 0
-                for j in combo:
-                    mask |= 1 << j
-                return mask, queries
-    return None, queries
+def _solve_column(
+    ht: BitMatrix, s: Sequence[int], order: CandidateOrder, query_cap: int
+) -> tuple[int, ...] | None:
+    """First candidate of `order` with ht·wᵀ = s, or None once the cap is hit."""
+    if len(s) != ht.rows:
+        raise ValueError(f"syndrome length {len(s)} does not match {ht.rows} checks")
+    mask, _ = OrderedSearch(SearchCore(ht.col_ints(), query_cap), order).find(_bits_to_mask(s))
+    if mask is None:
+        return None
+    return _mask_to_bits(mask, ht.cols)
 
 
 def _bits_to_mask(bits: Sequence[int]) -> int:

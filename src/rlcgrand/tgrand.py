@@ -13,6 +13,19 @@ first one satisfying the syndrome constraint is a maximum-likelihood
 repair.  Columns are solved left to right, each estimate seeding the
 next column's prior; the prior for the first column is all-zero because
 the chains start in the good state.
+
+The first hit is found with the shared search core (`search.py`) rather
+than by testing every candidate in turn.  The solutions of one column
+form a coset of dimension d = L - rank(ht).  The core tests at most 2^d
+candidates in likelihood order; if none hits, the first hit is the coset
+member with the smallest position
+
+    offset of class (l0, l1) in sorted_classes
+    + lexrank(flips0)·C(L1, l1) + lexrank(flips1) + 1,
+
+where flips0 and flips1 are the flipped zero and one positions.  The
+estimate and the reported query count equal those of walking the order
+to the first hit, or to the query cap.
 """
 
 from __future__ import annotations
@@ -23,19 +36,16 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from ._patterns import RankedSearch, combination_masks, spread_mask, subset_syndromes
 from .channel import ChannelParams
 from .gf2 import BitMatrix
+from .search import OrderedSearch, SearchCore, lex_rank
 from .syndrome_decoder import (
     DEFAULT_QUERY_CAP,
-    _FAST_MAX_CHECKS,
-    _FAST_MAX_UNKNOWNS,
     RepairResult,
     SyndromeSystem,
     _bits_to_mask,
     _mask_to_bits,
+    _solve_column,
 )
 
 # Two class probabilities tie when their logs agree to this tolerance;
@@ -165,16 +175,9 @@ def enumerate_candidates(
     the outer loop and the flipped one positions as the inner loop.
     The emitted vectors use the original coordinate positions.
     """
-    zp, op = prior.zero_positions, prior.one_positions
-    for cls in sorted_classes(params, len(zp), len(op)):
-        for flips0 in combinations(zp, cls.l0):
-            for flips1 in combinations(op, cls.l1):
-                bits = list(prior.prev)
-                for pos in flips0:
-                    bits[pos] = 1
-                for pos in flips1:
-                    bits[pos] = 0
-                yield tuple(bits)
+    order = _LikelihoodOrder(_bits_to_mask(prior.prev), prior.length, params)
+    for mask in order.masks():
+        yield _mask_to_bits(mask, prior.length)
 
 
 def tg_solve_column(
@@ -185,15 +188,10 @@ def tg_solve_column(
     query_cap: int = DEFAULT_QUERY_CAP,
 ) -> tuple[int, ...] | None:
     """First candidate (in likelihood order) with ht·wᵀ = s, or None at the cap."""
-    if len(s) != ht.rows:
-        raise ValueError(f"syndrome length {len(s)} does not match {ht.rows} checks")
     if prior.length != ht.cols:
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
-    target = _bits_to_mask(s)
-    mask, _ = _tg_solve_mask_scalar(ht.col_ints(), prior, params, target, query_cap)
-    if mask is None:
-        return None
-    return _mask_to_bits(mask, ht.cols)
+    order = _LikelihoodOrder(_bits_to_mask(prior.prev), ht.cols, params)
+    return _solve_column(ht, s, order, query_cap)
 
 
 def tg_repair(
@@ -204,31 +202,22 @@ def tg_repair(
     """Estimate all B error columns, chaining each estimate into the next prior.
 
     A capped-out column is left all-zero and the next column restarts
-    from the all-zero prior.
+    from the all-zero prior.  Columns with the same prior share one
+    search, so a repeated (prior, target) pair is answered from memory.
     """
     l = system.num_unknowns
-    cols = system.ht.col_ints()
-    targets = system.s.col_ints()
-    fast = system.ht.rows <= _FAST_MAX_CHECKS and l <= _FAST_MAX_UNKNOWNS
-    searches: dict[int, RankedSearch] = {}
-    scalar_memo: dict[tuple[int, int], tuple[int | None, int]] = {}
+    core = SearchCore(system.ht.col_ints(), query_cap)
+    searches: dict[int, OrderedSearch] = {}
     out_cols: list[int] = []
     queries: list[int] = []
     unresolved: list[int] = []
     prior_mask = 0
-    for b, target in enumerate(targets):
-        if fast:
-            search = searches.get(prior_mask)
-            if search is None:
-                search = _make_prior_search(cols, l, prior_mask, params, query_cap)
-                searches[prior_mask] = search
-            mask, q = search.find(target)
-        else:
-            key = (prior_mask, target)
-            if key not in scalar_memo:
-                prior = ColumnPrior.from_bits(_mask_to_bits(prior_mask, l))
-                scalar_memo[key] = _tg_solve_mask_scalar(cols, prior, params, target, query_cap)
-            mask, q = scalar_memo[key]
+    for b, target in enumerate(system.s.col_ints()):
+        search = searches.get(prior_mask)
+        if search is None:
+            search = OrderedSearch(core, _LikelihoodOrder(prior_mask, l, params))
+            searches[prior_mask] = search
+        mask, q = search.find(target)
         queries.append(q)
         if mask is None:
             unresolved.append(b)
@@ -243,64 +232,61 @@ def tg_repair(
     )
 
 
-def _make_prior_search(
-    cols, l: int, prior_mask: int, params: ChannelParams, query_cap: int
-) -> RankedSearch:
-    prior = ColumnPrior.from_bits(_mask_to_bits(prior_mask, l))
-    return RankedSearch(
-        _class_blocks(cols, prior, params), 1 << l, query_cap
-    )
+class _LikelihoodOrder:
+    """Likelihood order of the candidates for one prior column.
 
-
-def _class_blocks(cols, prior: ColumnPrior, params: ChannelParams):
-    """Vectorized per-class candidate syndromes in enumeration order.
-
-    Flip masks factor into a zero-side and a one-side combination; the
-    block's syndromes are base ^ side0 ^ side1 where base is the prior's
-    own syndrome, so candidate k's syndrome never needs the full vector.
+    A candidate's position is the offset of its (l0, l1) class in
+    `sorted_classes` plus its rank inside the class, where the zero-side
+    flips are the major and the one-side flips the minor index.
     """
-    zp, op = prior.zero_positions, prior.one_positions
-    zcols = [cols[p] for p in zp]
-    ocols = [cols[p] for p in op]
-    base = 0
-    for c in ocols:
-        base ^= c
-    prior_mask = _bits_to_mask(prior.prev)
-    side0: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    side1: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for cls in sorted_classes(params, len(zp), len(op)):
-        if cls.l0 not in side0:
-            m = combination_masks(len(zp), cls.l0)
-            side0[cls.l0] = (m, subset_syndromes(m, zcols))
-        if cls.l1 not in side1:
-            m = combination_masks(len(op), cls.l1)
-            side1[cls.l1] = (m, subset_syndromes(m, ocols))
-        m0, s0 = side0[cls.l0]
-        m1, s1 = side1[cls.l1]
-        n1 = len(m1)
-        syn = np.repeat(s0, n1) ^ np.tile(s1, len(m0)) ^ np.uint64(base)
 
-        def decode(i: int, m0=m0, m1=m1, n1=n1) -> int:
-            i0, i1 = divmod(i, n1)
-            flip = spread_mask(int(m0[i0]), zp) | spread_mask(int(m1[i1]), op)
-            return prior_mask ^ flip
+    def __init__(self, prior_mask: int, l: int, params: ChannelParams):
+        self._prior = prior_mask
+        self._l = l
+        self._params = params
+        self._zero_bits = [1 << j for j in range(l) if not prior_mask >> j & 1]
+        self._one_bits = [1 << j for j in range(l) if prior_mask >> j & 1]
 
-        yield syn, decode
+    def masks(self) -> Iterator[int]:
+        p = self._params
+        for cls in _sorted_classes_cached(p.p01, p.p10, len(self._zero_bits), len(self._one_bits)):
+            for flips0 in combinations(self._zero_bits, cls.l0):
+                base = self._prior ^ sum(flips0)
+                for flips1 in combinations(self._one_bits, cls.l1):
+                    yield base ^ sum(flips1)
+
+    def block(self, mask: int) -> int:
+        flips = mask ^ self._prior
+        ones = flips & self._prior
+        big_l1 = len(self._one_bits)
+        offsets = _class_offsets(self._params.p01, self._params.p10, len(self._zero_bits), big_l1)
+        return offsets[(flips ^ ones).bit_count() * (big_l1 + 1) + ones.bit_count()]
+
+    def position(self, mask: int) -> int:
+        flips = mask ^ self._prior
+        flips1 = flips & self._prior
+        flips0 = flips ^ flips1
+        big_l0, big_l1 = len(self._zero_bits), len(self._one_bits)
+        # side_index[j] is j's index among the prior's zeros or among its ones.
+        side_index = [0] * self._l
+        for side in (self._zero_bits, self._one_bits):
+            for i, bit in enumerate(side):
+                side_index[bit.bit_length() - 1] = i
+        return (
+            self.block(mask)
+            + lex_rank(flips0, side_index, big_l0, flips0.bit_count())
+            * math.comb(big_l1, flips1.bit_count())
+            + lex_rank(flips1, side_index, big_l1, flips1.bit_count())
+            + 1
+        )
 
 
-def _tg_solve_mask_scalar(
-    cols, prior: ColumnPrior, params: ChannelParams, target: int, query_cap: int
-) -> tuple[int | None, int]:
-    """Reference enumeration; handles syndromes wider than 64 bits."""
-    queries = 0
-    for bits in enumerate_candidates(prior, params):
-        if queries == query_cap:
-            return None, queries
-        queries += 1
-        acc = 0
-        for j, bit in enumerate(bits):
-            if bit:
-                acc ^= cols[j]
-        if acc == target:
-            return _bits_to_mask(bits), queries
-    return None, queries
+@lru_cache(maxsize=4096)
+def _class_offsets(p01: float, p10: float, big_l0: int, big_l1: int) -> tuple[int, ...]:
+    """Candidates queried before class (l0, l1), at index l0·(L1+1) + l1."""
+    offsets = [0] * ((big_l0 + 1) * (big_l1 + 1))
+    total = 0
+    for cls in _sorted_classes_cached(p01, p10, big_l0, big_l1):
+        offsets[cls.l0 * (big_l1 + 1) + cls.l1] = total
+        total += cls.count
+    return tuple(offsets)

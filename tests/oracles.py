@@ -7,9 +7,12 @@ principles, independent of the code paths under test.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from itertools import combinations
+from typing import Iterable, Sequence
 
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import SplitMix64, derive_seed
+from rlcgrand.tgrand import ColumnPrior, enumerate_candidates
 
 
 def rank_by_row_space(m: BitMatrix) -> int:
@@ -27,6 +30,78 @@ def syndrome_of_mask(ht: BitMatrix, mask: int) -> int:
         if (mask >> j) & 1:
             acc ^= cols[j]
     return acc
+
+
+def matvec_check(a: BitMatrix, w: Sequence[int], s: Sequence[int]) -> bool:
+    """True iff a·wᵀ == s over GF(2); vacuously true for a 0-row matrix."""
+    if len(w) != a.cols:
+        raise ValueError(f"vector length {len(w)} does not match {a.cols} columns")
+    if len(s) != a.rows:
+        raise ValueError(f"target length {len(s)} does not match {a.rows} rows")
+    w_mask = 0
+    for j, bit in enumerate(w):
+        w_mask |= (bit & 1) << j
+    for i in range(a.rows):
+        if bit_parity(a.row_ints[i] & w_mask) != (s[i] & 1):
+            return False
+    return True
+
+
+def bit_parity(x: int) -> int:
+    return bin(x).count("1") & 1
+
+
+def first_hit(candidates: Iterable[int], ht: BitMatrix, target: int, cap: int):
+    """(mask, queries) of the first candidate with syndrome `target`.
+
+    At most `cap` candidates are tested; a miss returns (None, number
+    tested), which is min(2^L, cap) for a complete candidate order.
+    """
+    queries = 0
+    for mask in candidates:
+        if queries == cap:
+            return None, queries
+        queries += 1
+        if syndrome_of_mask(ht, mask) == target:
+            return mask, queries
+    return None, queries
+
+
+def weight_order(length: int):
+    """Weight 0, 1, 2, ...; supports lexicographic within a weight."""
+    for w in range(length + 1):
+        for combo in combinations(range(length), w):
+            yield sum(1 << j for j in combo)
+
+
+def likelihood_order(prior_mask: int, length: int, params):
+    """Transversal GRAND's candidate stream for one prior, as masks."""
+    prior = ColumnPrior.from_bits(tuple((prior_mask >> j) & 1 for j in range(length)))
+    for bits in enumerate_candidates(prior, params):
+        yield sum(bit << j for j, bit in enumerate(bits))
+
+
+def sd_repair_by_enumeration(ht: BitMatrix, s: BitMatrix, cap: int):
+    """Per-column first hits of the weight order: [(mask or None, queries)]."""
+    return [first_hit(weight_order(ht.cols), ht, t, cap) for t in s.col_ints()]
+
+
+def tg_repair_by_enumeration(ht: BitMatrix, s: BitMatrix, params, cap: int):
+    """Chained first hits of the likelihood order; a miss resets the prior to zero."""
+    out = []
+    prior_mask = 0
+    for t in s.col_ints():
+        mask, queries = first_hit(likelihood_order(prior_mask, ht.cols, params), ht, t, cap)
+        out.append((mask, queries))
+        prior_mask = mask or 0
+    return out
+
+
+def assert_repair_matches(res, expected) -> None:
+    """A RepairResult agrees with per-column (mask or None, queries) first hits."""
+    assert res.queries_per_column == tuple(q for _, q in expected)
+    assert res.unresolved == tuple(b for b, (mask, _) in enumerate(expected) if mask is None)
+    assert res.e_hat.col_ints() == tuple(mask or 0 for mask, _ in expected)
 
 
 def min_weight_solutions(ht: BitMatrix, target: int) -> tuple[int | None, list[int]]:

@@ -5,7 +5,13 @@ from rlcgrand import gf2, rlc, syndrome_decoder as sd
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import random_bit_matrix
 
-from oracles import min_weight_solutions, syndrome_of_mask
+from oracles import (
+    assert_repair_matches,
+    matvec_check,
+    min_weight_solutions,
+    sd_repair_by_enumeration,
+    syndrome_of_mask,
+)
 
 
 def small_system(max_checks=4, max_unknowns=4, max_cols=6):
@@ -88,7 +94,7 @@ class TestSolveColumn:
         got = sd.sd_solve_column(ht, s_bits)
         best_w, best_masks = min_weight_solutions(ht, target)
         assert got is not None
-        assert gf2.matvec_check(ht, got, s_bits)
+        assert matvec_check(ht, got, s_bits)
         assert sum(got) == best_w
         # First hit in weight-then-lex order is the lexicographically
         # smallest support among the minimal solutions.
@@ -137,18 +143,14 @@ class TestRepair:
             got = tuple(res.e_hat.get(j, b) for j in range(ht.cols))
             assert got == expected
 
-    @settings(max_examples=100)
-    @given(small_system(), st.integers(1, 6))
-    def test_repair_matches_reference_under_caps(self, system, cap):
+    @settings(max_examples=150, deadline=None)
+    @given(small_system(max_checks=6, max_unknowns=8), st.integers(-3, 3), st.integers(-1, 1))
+    def test_search_core_matches_enumeration_oracle(self, system, shift, offset):
+        # Caps land on both sides of 2^d, so both the prefix scan and the
+        # coset ranking run.
         ht, e = system
         s = gf2.matmul(ht, e)
+        d = ht.cols - gf2.rank(ht)
+        cap = max(1, (1 << max(0, d + shift)) + offset)
         res = sd.sd_repair(sd.SyndromeSystem(ht=ht, s=s), query_cap=cap)
-        for b in range(e.cols):
-            target = s.col_ints()[b]
-            mask, queries = sd._solve_mask_scalar(ht.col_ints(), ht.cols, target, cap)
-            assert res.queries_per_column[b] == queries
-            if mask is None:
-                assert b in res.unresolved
-                assert res.e_hat.col_ints()[b] == 0
-            else:
-                assert res.e_hat.col_ints()[b] == mask
+        assert_repair_matches(res, sd_repair_by_enumeration(ht, s, cap))

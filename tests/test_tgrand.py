@@ -9,7 +9,14 @@ from rlcgrand.rng import random_bit_matrix
 from rlcgrand.syndrome_decoder import SyndromeSystem
 from rlcgrand.tgrand import ColumnPrior
 
-from oracles import map_solution, syndrome_of_mask, vector_probability
+from oracles import (
+    assert_repair_matches,
+    map_solution,
+    matvec_check,
+    syndrome_of_mask,
+    tg_repair_by_enumeration,
+    vector_probability,
+)
 
 # The worked example: p01 = 0.2, p10 = 0.7, prior [1, 0, 1, 1, 0].
 EX_PARAMS = ChannelParams(p01=0.2, p10=0.7)
@@ -198,7 +205,7 @@ class TestSolveColumn:
         # vectors themselves may differ when equal-probability candidates
         # tie, because the tie order is positional by design.
         mapped = tuple(got[perm.index(j)] for j in range(unknowns))
-        assert gf2.matvec_check(ht, mapped, s_bits)
+        assert matvec_check(ht, mapped, s_bits)
         p_base = vector_probability(base, prior.prev, p01, p10)
         p_got = vector_probability(mapped, prior.prev, p01, p10)
         assert p_got == pytest.approx(p_base, rel=1e-9)
@@ -268,30 +275,56 @@ class TestRepair:
             assert got == expected
             prior_bits = got
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(0, 4), st.integers(0, 4), st.integers(1, 5),
+        st.integers(0, 6), st.integers(0, 8), st.integers(1, 6),
         st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), coarse_prob, coarse_prob,
-        st.integers(1, 8),
+        st.integers(-3, 3), st.integers(-1, 1),
     )
-    def test_fast_path_matches_scalar_reference(self, checks, unknowns, b, hseed, eseed, p01, p10, cap):
+    def test_search_core_matches_enumeration_oracle(
+        self, checks, unknowns, b, hseed, eseed, p01, p10, shift, offset
+    ):
+        # Caps land on both sides of 2^d, so both the prefix scan and the
+        # coset ranking run.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        e = random_bit_matrix(eseed, unknowns, b)
-        s = gf2.matmul(ht, e)
+        s = gf2.matmul(ht, random_bit_matrix(eseed, unknowns, b))
+        d = unknowns - gf2.rank(ht)
+        cap = max(1, (1 << max(0, d + shift)) + offset)
         params = ChannelParams(p01=p01, p10=p10)
         res = tgrand.tg_repair(SyndromeSystem(ht=ht, s=s), params, query_cap=cap)
-        cols = ht.col_ints()
-        prior_mask = 0
-        for col in range(b):
-            prior = ColumnPrior.from_bits(tuple((prior_mask >> j) & 1 for j in range(unknowns)))
-            mask, queries = tgrand._tg_solve_mask_scalar(
-                cols, prior, params, s.col_ints()[col], cap
-            )
-            assert res.queries_per_column[col] == queries
-            got = res.e_hat.col_ints()[col]
-            if mask is None:
-                assert col in res.unresolved and got == 0
-                prior_mask = 0
-            else:
-                assert got == mask
-                prior_mask = mask
+        assert_repair_matches(res, tg_repair_by_enumeration(ht, s, params, cap))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.just(0) | st.integers(1, 5), st.integers(0, 7), st.integers(1, 6),
+        st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+        st.one_of(
+            st.tuples(st.just(0.0), coarse_prob),  # eps = 0
+            st.tuples(st.just(0.0) | coarse_prob, st.just(1.0)),  # burst length 1
+            st.tuples(st.floats(0.99, 1.0), coarse_prob | st.just(1.0)),  # p01 near 1
+        ),
+        st.integers(1, 200),
+    )
+    def test_boundary_channels_match_enumeration_oracle(
+        self, checks, unknowns, b, hseed, eseed, channel, cap
+    ):
+        # checks = 0 is the N = K system: every vector is a solution, d = L.
+        ht = random_bit_matrix(hseed, checks, unknowns)
+        s = gf2.matmul(ht, random_bit_matrix(eseed, unknowns, b))
+        params = ChannelParams(*channel)
+        for query_cap in (cap, 1 << 20):
+            res = tgrand.tg_repair(SyndromeSystem(ht=ht, s=s), params, query_cap=query_cap)
+            assert_repair_matches(res, tg_repair_by_enumeration(ht, s, params, query_cap))
+
+    def test_zero_probability_classes_keep_the_tie_order(self):
+        # With p01 = 0 every class with a 0->1 flip has probability 0 and
+        # all of them tie.  The coset {0011, 1100} has d = 1, so the hit at
+        # position 6 (past 2^d) comes from the ranking step, whose class
+        # offsets must follow the tie order of sorted_classes.
+        ht = BitMatrix.from_rows([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+        s = BitMatrix.from_rows([[1], [1], [0]])
+        params = ChannelParams(p01=0.0, p10=0.5)
+        res = tgrand.tg_repair(SyndromeSystem(ht=ht, s=s), params, query_cap=1 << 20)
+        assert_repair_matches(res, tg_repair_by_enumeration(ht, s, params, 1 << 20))
+        assert res.queries_per_column == (6,)
+        assert res.e_hat.col_ints() == (0b0011,)
