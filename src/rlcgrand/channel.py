@@ -5,6 +5,28 @@ Each transmitted packet sees an independent two-state chain: state 0 is
 chain starts in state 0 and makes one transition per bit, so the first
 bit of a packet is in error with probability p01.  Steady-state error
 rate is eps = p01/(p01+p10) and the mean burst length is 1/p10.
+
+``apply`` runs all chains at once on packed bits.  Bit t of a packet
+draws a uniform u_t; the next state is [u_t < p01] from state 0 and
+[u_t >= p10] from state 1.  As a map of the previous state s this is
+
+    f_t(s) = (s & m_t) ^ v_t,   v_t = [u_t < p01],   m_t = v_t ^ [u_t >= p10],
+
+so v_t is the next state from state 0 and m_t marks the bits whose next
+state depends on s.  Two such maps compose into one of the same form:
+(m_1, v_1) followed by (m_2, v_2) is (m_1 & m_2, (v_1 & m_2) ^ v_2), and
+composition is associative.  An inclusive prefix scan (Hillis-Steele)
+therefore gives every prefix map f_t∘…∘f_0 in ceil(log2 B) rounds: in
+the round with shift k, bit t combines with bit t-k.  The chain starts
+in the good state 0, and a map applied to 0 yields its v, so after the
+scan v is the error row itself.  The scan is exact: it makes the same
+comparisons of the same uniforms as the bit-by-bit recurrence and only
+regroups Boolean algebra, so the noise is bit-identical to it.
+
+All rows share one Python int, row i in bits [i·B, (i+1)·B), so a round
+is a handful of whole-int shifts, ANDs and XORs.  m is cleared at each
+row's first bit: that step starts from state 0, so f_0 ignores its input,
+and a cleared m also stops every prefix at its own row.
 """
 
 from __future__ import annotations
@@ -15,7 +37,7 @@ import numpy as np
 
 from . import gf2
 from .gf2 import BitMatrix
-from .rng import bit_matrix_from_array, derive_seed, uniform_block
+from .rng import derive_seeds, uniform_block
 
 
 @dataclass(frozen=True)
@@ -68,14 +90,22 @@ def apply(params: ChannelParams, x: BitMatrix, seed: int) -> tuple[BitMatrix, Bi
     if n == 0 or b == 0:
         e = BitMatrix.zeros(n, b)
         return x, e
-    u = np.empty((n, b), dtype=np.float64)
-    for i in range(n):
-        u[i] = uniform_block(derive_seed(seed, i), b)
-    states = np.empty((n, b), dtype=np.uint8)
-    state = np.zeros(n, dtype=bool)
-    for col in range(b):
-        uc = u[:, col]
-        state = np.where(state, uc >= params.p10, uc < params.p01)
-        states[:, col] = state
-    e = bit_matrix_from_array(states)
+    u = uniform_block(derive_seeds(seed, n), b)
+    from_good = u < params.p01
+    depends = from_good ^ (u >= params.p10)
+    depends[:, 0] = False
+    v, m = _pack(from_good), _pack(depends)
+    shift = 1
+    while shift < b:
+        # Compose each bit's prefix map with the one ending `shift` bits earlier.
+        v ^= (v << shift) & m
+        m &= m << shift
+        shift <<= 1
+    row_mask = (1 << b) - 1
+    e = BitMatrix(n, b, [(v >> (i * b)) & row_mask for i in range(n)])
     return gf2.add(x, e), e
+
+
+def _pack(bits: np.ndarray) -> int:
+    """Row-major bits of a 2-D bool array as one int (bit i·B + j = entry (i, j))."""
+    return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")

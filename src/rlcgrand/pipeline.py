@@ -79,6 +79,12 @@ def attempt_rlc(batch: ReceivedBatch, gen: Generator) -> DecodeOutcome:
     )
 
 
+def needs_repair(batch: ReceivedBatch, gen: Generator, base: DecodeOutcome) -> bool:
+    """Whether a repair pass can change the plain outcome ``base``: the plain
+    attempt failed, parity packets exist (N > K) and some row is corrupted."""
+    return not base.success and gen.n > gen.k and bool(batch.rbar)
+
+
 def repair_and_redecode(
     batch: ReceivedBatch,
     gen: Generator,
@@ -86,19 +92,24 @@ def repair_and_redecode(
     method: str,
     params: ChannelParams | None = None,
     query_cap: int = DEFAULT_QUERY_CAP,
+    base: DecodeOutcome | None = None,
 ) -> DecodeOutcome:
     """One repair pass over the corrupted rows, then a second decode attempt.
 
     Repaired rows that verify against the truth are promoted to the clean
-    set; the enlarged system is decoded once.  With no parity packets
-    (N == K) repair is skipped and the plain outcome is returned.
+    set; the enlarged system is decoded once.  When the plain attempt
+    succeeds, when there are no parity packets (N == K) or when no row is
+    corrupted, repair is skipped and the plain outcome is returned.
+    ``base`` is ``attempt_rlc(batch, gen)`` when the caller already has
+    it, so several repair methods can share one plain attempt.
     """
     if method not in (METHOD_SD, METHOD_TGRAND):
         raise ValueError(f"unknown repair method {method!r}")
     if method == METHOD_TGRAND and params is None:
         raise ValueError("tgrand repair needs the channel parameters")
-    base = attempt_rlc(batch, gen)
-    if base.success or gen.n == gen.k or not batch.rbar:
+    if base is None:
+        base = attempt_rlc(batch, gen)
+    if not needs_repair(batch, gen, base):
         return base
 
     s = compute_syndrome(h, batch.y)

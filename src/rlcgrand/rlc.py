@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .gf2 import BitMatrix
-from .rng import SplitMix64
+from .rng import random_bit_matrix
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,8 @@ def make_generator(k: int, n: int, seed: int) -> Generator:
         raise ValueError("k must be at least 1")
     if n < k:
         raise ValueError("n must be at least k")
-    stream = SplitMix64(seed)
-    rows = [1 << i for i in range(k)]
-    for _ in range(n - k):
-        v = 0
-        for j in range(k):
-            v |= stream.next_bit() << j
-        rows.append(v)
-    return Generator(k=k, n=n, matrix=BitMatrix(n, k, rows), seed=seed)
+    p = random_bit_matrix(seed, n - k, k)
+    return Generator(k=k, n=n, matrix=BitMatrix.identity(k).vstack(p), seed=seed)
 
 
 def encode(gen: Generator, u: BitMatrix) -> BitMatrix:

@@ -11,6 +11,12 @@ worker counts.  The contract is frozen because golden fixtures depend on it:
 * Uniform floats in [0, 1) are ``(z >> 11) * 2**-53``.
 * ``derive_seed`` folds integer labels into a seed one splitmix64
   finalizer step per label.
+
+The block functions (``uint64_block``, ``uniform_block``, ``bit_block``)
+broadcast over an array of seeds: given seeds of shape S they return
+shape S + (n,), whose row for seed s is the block of s alone.
+``derive_seeds`` makes such an array, ``derive_seed(seed, i)`` for each
+row i, in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -65,26 +71,41 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * _INV53
 
 
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_UMUL1, _UMUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_UGAMMA = np.uint64(GAMMA)
+
+
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """``mix64`` elementwise on a uint64 array (a new array; z is not modified)."""
+    z = z ^ (z >> _U30)
+    z *= _UMUL1
+    z ^= z >> _U27
+    z *= _UMUL2
+    z ^= z >> _U31
+    return z
 
 
-def uint64_block(seed: int, n: int) -> np.ndarray:
+def derive_seeds(seed: int, count: int) -> np.ndarray:
+    """``derive_seed(seed, i)`` for i in range(count), as a uint64 array."""
+    labels = _mix64_vec(np.arange(count, dtype=np.uint64) + _UGAMMA)
+    return _mix64_vec(np.uint64((seed + GAMMA) & MASK64) ^ labels)
+
+
+def uint64_block(seed: int | np.ndarray, n: int) -> np.ndarray:
     """First n outputs of SplitMix64(seed), vectorized via the closed form
-    state_k = seed + (k+1)*GAMMA."""
-    ks = np.arange(1, n + 1, dtype=np.uint64)
-    state = np.uint64(seed & MASK64) + ks * np.uint64(GAMMA)
-    return _mix64_vec(state)
+    state_k = seed + (k+1)*GAMMA; broadcasts over an array of seeds."""
+    ks = np.arange(1, n + 1, dtype=np.uint64) * _UGAMMA
+    seeds = np.asarray(seed & MASK64, dtype=np.uint64)
+    return _mix64_vec(seeds[..., np.newaxis] + ks)
 
 
-def uniform_block(seed: int, n: int) -> np.ndarray:
+def uniform_block(seed: int | np.ndarray, n: int) -> np.ndarray:
     """First n uniform floats in [0, 1) of the stream."""
     return (uint64_block(seed, n) >> np.uint64(11)).astype(np.float64) * _INV53
 
 
-def bit_block(seed: int, n: int) -> np.ndarray:
+def bit_block(seed: int | np.ndarray, n: int) -> np.ndarray:
     """First n random bits (top bit of each output), as uint8."""
     return (uint64_block(seed, n) >> np.uint64(63)).astype(np.uint8)
 

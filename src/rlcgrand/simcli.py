@@ -7,20 +7,32 @@ over a grid of packet counts N, and writes one CSV row per
 (master_seed, N, trial_index), so all decoders see identical channel
 realizations (paired comparison) and results do not depend on worker
 count or scheduling.
+
+Each trial runs the plain RLC attempt once.  That outcome is the rlc
+decoder's, and it is what the sd and tgrand repairs return whenever no
+repair is needed (the attempt succeeded, N == K, or no row is
+corrupted); only failed attempts go on to a repair pass.  A decoder's
+``wall_seconds`` is the time spent on its outcome: the shared attempt is
+timed once and charged in full to every decoder, plus the decoder's own
+repair, so the three columns stay comparable.  Trial generation (data,
+generator, channel) and the parity-check matrix are charged to none.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from . import channel
 from .channel import ChannelParams
-from .pipeline import DecodeOutcome, attempt_rlc, classify, repair_and_redecode
+from .pipeline import DecodeOutcome, attempt_rlc, classify, needs_repair, repair_and_redecode
 from .rlc import make_generator, encode, parity_check
 from .rng import derive_seed, random_bit_matrix
 from .syndrome_decoder import DEFAULT_QUERY_CAP
@@ -106,71 +118,83 @@ def _trial_batch(config: SimConfig, n: int, trial_index: int):
     return gen, classify(y, x), params
 
 
+def _trial_outcomes(config: SimConfig, n: int, trial_index: int, decoders: tuple[str, ...]):
+    """Run ``decoders`` on one trial: a list of (decoder, outcome, seconds).
+
+    The plain attempt runs once and is shared, as the module docstring
+    describes; H is built only when a repair pass will run.
+    """
+    gen, batch, params = _trial_batch(config, n, trial_index)
+    t0 = time.perf_counter()
+    base = attempt_rlc(batch, gen)
+    base_seconds = time.perf_counter() - t0
+    h = parity_check(gen) if needs_repair(batch, gen, base) else None
+    results = []
+    for d in decoders:
+        t0 = time.perf_counter()
+        if d == "rlc" or h is None:
+            out = base
+        else:
+            out = repair_and_redecode(
+                batch, gen, h, method=d, params=params, query_cap=config.query_cap, base=base
+            )
+        results.append((d, out, base_seconds + time.perf_counter() - t0))
+    return results
+
+
 def run_trial(config: SimConfig, n: int, decoder: str, trial_index: int) -> DecodeOutcome:
     """Run one decoder on one trial; deterministic in (master_seed, n, trial_index)."""
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
-    gen, batch, params = _trial_batch(config, n, trial_index)
-    if decoder == "rlc":
-        return attempt_rlc(batch, gen)
-    return repair_and_redecode(
-        batch, gen, parity_check(gen), method=decoder, params=params, query_cap=config.query_cap
-    )
+    [(_, out, _)] = _trial_outcomes(config, n, trial_index, (decoder,))
+    return out
 
 
 def _run_chunk(config: SimConfig, n: int, start: int, stop: int):
     """Per-decoder (successes, queries, seconds) sums over a trial range."""
     sums = {d: [0, 0, 0.0] for d in config.decoders}
     for t in range(start, stop):
-        gen, batch, params = _trial_batch(config, n, t)
-        h = parity_check(gen) if any(d != "rlc" for d in config.decoders) else None
-        for d in config.decoders:
-            t0 = time.perf_counter()
-            if d == "rlc":
-                out = attempt_rlc(batch, gen)
-            else:
-                out = repair_and_redecode(
-                    batch, gen, h, method=d, params=params, query_cap=config.query_cap
-                )
-            elapsed = time.perf_counter() - t0
-            sums[d][0] += 1 if out.success else 0
-            sums[d][1] += out.queries_total
-            sums[d][2] += elapsed
+        for d, out, seconds in _trial_outcomes(config, n, t, config.decoders):
+            cell = sums[d]
+            cell[0] += 1 if out.success else 0
+            cell[1] += out.queries_total
+            cell[2] += seconds
     return n, sums
+
+
+def _worker_count(requested: int, spans: int, cpus: int | None) -> int:
+    """Processes worth starting: no more than the CPUs or the chunks of work."""
+    return max(1, min(requested, cpus or 1, spans))
 
 
 def run_experiment(config: SimConfig) -> list[SimRecord]:
     """Run the full (decoder × N) grid; one SimRecord per cell.
 
-    Trials are split into chunks and may run on a process pool; sums are
-    commutative, so records are identical for any worker count.
+    Trials are split into chunks and may run on a process pool of at most
+    ``_worker_count`` processes; sums are commutative, so records are
+    identical for any worker count.
     """
     spans = [
         (n, start, min(start + _CHUNK, config.trials))
         for n in config.n_list
         for start in range(0, config.trials, _CHUNK)
     ]
+    columns = list(zip(*spans))
+    workers = _worker_count(config.workers, len(spans), os.cpu_count())
+    if workers == 1:
+        results = list(map(_run_chunk, repeat(config), *columns))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_chunk, repeat(config), *columns))
     totals: dict[tuple[str, int], list] = {
         (d, n): [0, 0, 0.0] for d in config.decoders for n in config.n_list
     }
-    if config.workers == 1:
-        results = (_run_chunk(config, n, a, b) for n, a, b in spans)
-        for n, sums in results:
-            for d, (succ, q, w) in sums.items():
-                cell = totals[(d, n)]
-                cell[0] += succ
-                cell[1] += q
-                cell[2] += w
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_run_chunk, config, n, a, b) for n, a, b in spans]
-            for fut in futures:
-                n, sums = fut.result()
-                for d, (succ, q, w) in sums.items():
-                    cell = totals[(d, n)]
-                    cell[0] += succ
-                    cell[1] += q
-                    cell[2] += w
+    for n, sums in results:
+        for d, (succ, q, w) in sums.items():
+            cell = totals[(d, n)]
+            cell[0] += succ
+            cell[1] += q
+            cell[2] += w
     records = []
     for d in DECODERS:
         if d not in config.decoders:
@@ -196,14 +220,34 @@ def run_experiment(config: SimConfig) -> list[SimRecord]:
 
 
 def emit_csv(records: list[SimRecord], out_path) -> None:
-    """Write records with the fixed header; floats keep full precision."""
+    """Write records with the fixed header; floats keep full precision.
+
+    The file is replaced atomically: the text goes to a temp file in the
+    same directory, which ``os.replace`` then renames over ``out_path``.
+    """
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
             f"{r.decoder},{r.k},{r.n},{r.b},{r.eps!r},{r.burst_len!r},{r.trials},"
             f"{r.successes},{r.decoding_probability!r},{r.mean_queries!r},{r.wall_seconds!r}"
         )
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    path = Path(out_path)
+    if path.exists() and not path.is_file():
+        # A device or pipe (e.g. /dev/stdout) cannot be replaced; write through it.
+        path.write_text(text)
+        return
+    target = path.resolve()  # replace a symlink's target, not the link
+    # Write a sibling temp file and rename it over the target, so readers
+    # see the old file or the new one whole, never a partial write.
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x") as f:
+            f.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_csv(path) -> list[SimRecord]:
@@ -314,7 +358,7 @@ def main(argv=None) -> int:
         config = config_from_args(argv)
         records = run_experiment(config)
         emit_csv(records, config.out_path)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(records)} records to {config.out_path}")

@@ -76,6 +76,20 @@ class TestApply:
         _, e = channel.apply(params, BitMatrix.zeros(9, 40), seed=2024)
         assert e.to_rows() == markov_error_rows(params.p01, params.p10, 9, 40, 2024)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(0, 24),
+        cols=st.sampled_from((1, 7, 8, 63, 64, 65, 129)),
+        p01=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+        p10=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_scan_matches_scalar_reference(self, rows, cols, p01, p10, seed):
+        # The packed scan against the bit-by-bit recurrence, at the widths
+        # where shift masks and packbits padding would go wrong.
+        _, e = channel.apply(ChannelParams(p01=p01, p10=p10), BitMatrix.zeros(rows, cols), seed)
+        assert e.to_rows() == markov_error_rows(p01, p10, rows, cols, seed)
+
     def test_y_is_x_xor_e(self):
         params = ChannelParams.from_eps_lambda(0.3, 2.0)
         x = random_bit_matrix(11, 5, 20)

@@ -173,3 +173,6 @@ def test_receiver_invariants_on_random_batches(k, extra, b, gseed, useed, eseed)
         assert 0 <= out.nu <= len(batch.rbar)
         repeat = pipeline.repair_and_redecode(batch, g, h, method, params)
         assert repeat == out
+        shared = pipeline.repair_and_redecode(batch, g, h, method, params, base=plain)
+        assert shared == out
+        assert pipeline.needs_repair(batch, g, plain) or out == plain

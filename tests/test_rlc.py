@@ -31,6 +31,16 @@ class TestMakeGenerator:
         expected = [stream.next_bit() for _ in range(4)]
         assert g.p_block.to_rows() == [expected[:2], expected[2:]]
 
+    @settings(max_examples=100)
+    @given(st.integers(1, 17), st.integers(0, 17), st.integers(0, 2**64 - 1))
+    def test_p_block_is_the_scalar_bit_stream(self, k, extra, seed):
+        # Covers N == K and (N-K)·K not a multiple of 8.
+        g = rlc.make_generator(k, k + extra, seed)
+        stream = SplitMix64(seed)
+        expected = [[stream.next_bit() for _ in range(k)] for _ in range(extra)]
+        assert g.p_block.to_rows() == expected
+        assert g.matrix.take_rows(range(k)) == BitMatrix.identity(k)
+
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
             rlc.make_generator(0, 3, 1)

@@ -59,3 +59,16 @@ def test_random_bit_matrix_row_major_bits():
 def test_random_bit_matrix_empty():
     assert rng.random_bit_matrix(9, 0, 4).rows == 0
     assert rng.random_bit_matrix(9, 4, 0).cols == 0
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 40), st.integers(0, 70))
+def test_seed_array_blocks_match_per_seed_blocks(seed, rows, n):
+    seeds = rng.derive_seeds(seed, rows)
+    assert seeds.tolist() == [rng.derive_seed(seed, i) for i in range(rows)]
+    block = rng.uint64_block(seeds, n)
+    assert block.shape == (rows, n)
+    for i in range(rows):
+        assert block[i].tolist() == rng.uint64_block(rng.derive_seed(seed, i), n).tolist()
+    assert np.array_equal(rng.uniform_block(seeds, n), (block >> np.uint64(11)) * 2.0**-53)
+    assert np.array_equal(rng.bit_block(seeds, n), block >> np.uint64(63))

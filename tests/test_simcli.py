@@ -1,4 +1,7 @@
 import json
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -119,6 +122,45 @@ class TestRunExperiment:
         ]
         assert strip(one) == strip(two)
 
+    def test_records_are_sums_of_run_trial(self):
+        # run_experiment and run_trial share one dispatch; their totals agree.
+        cfg = small_config(trials=30)
+        for r in run_experiment(cfg):
+            outs = [run_trial(cfg, r.n, r.decoder, t) for t in range(cfg.trials)]
+            assert r.successes == sum(1 for o in outs if o.success), (r.decoder, r.n)
+            assert r.mean_queries == sum(o.queries_total for o in outs) / cfg.trials
+
+    def test_worker_count_is_clamped(self):
+        assert simcli._worker_count(5000, spans=40, cpus=2) == 2
+        assert simcli._worker_count(5000, spans=3, cpus=64) == 3
+        assert simcli._worker_count(1, spans=40, cpus=8) == 1
+        assert simcli._worker_count(4, spans=40, cpus=None) == 1
+
+    def test_pool_gets_the_clamped_size(self, monkeypatch):
+        # A stand-in pool records its size and runs in-process, so no
+        # worker process is started however many are requested.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simcli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(simcli.os, "cpu_count", lambda: 4)
+        strip = lambda rs: [(r.decoder, r.n, r.successes, r.mean_queries) for r in rs]
+        many = run_experiment(small_config(trials=5, workers=5000))
+        assert sizes == [2]  # two spans, one per N
+        assert strip(many) == strip(run_experiment(small_config(trials=5)))
+
     def test_success_counts_monotone_in_n(self):
         cfg = small_config(n_list=(3, 5, 7), trials=150)
         records = run_experiment(cfg)
@@ -143,6 +185,40 @@ class TestCsv:
         path = tmp_path / "out.csv"
         emit_csv(records, path)
         assert read_csv(path) == records
+
+    def test_existing_file_is_replaced_whole(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("stale line\n" * 500)
+        records = run_experiment(small_config(trials=3))
+        emit_csv(records, path)
+        assert read_csv(path) == records
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_failed_replace_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(simcli.os, "replace", fail)
+        with pytest.raises(OSError):
+            emit_csv([], path)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_pipe_target_is_written_through(self, tmp_path):
+        # A pipe cannot be renamed over; its reader must get the text.
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        emit_csv([], fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [simcli.CSV_HEADER + "\n"]
+        assert fifo.is_fifo()
 
     def test_reproducible_modulo_wall_clock(self, tmp_path):
         cfg = small_config(trials=15)
@@ -190,6 +266,16 @@ class TestCli:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_broken_pool_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        def broken(config):
+            raise BrokenProcessPool("a worker was killed")
+
+        monkeypatch.setattr(simcli, "run_experiment", broken)
+        out = tmp_path / "r.csv"
+        assert simcli.main(["--workers", "2", "--out", str(out)]) == 2
+        assert "error: a worker was killed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "sim.cfg"
