@@ -8,7 +8,15 @@ Markov-correlated errors).
 
 from .channel import ChannelParams
 from .gf2 import BitMatrix
-from .pipeline import DecodeOutcome, ReceivedBatch, attempt_rlc, classify, repair_and_redecode
+from .pipeline import (
+    DecodeOutcome,
+    ReceivedBatch,
+    attempt_rlc,
+    classify,
+    needs_repair,
+    redecode,
+    syndrome_system,
+)
 from .rlc import Generator, ParityCheck, encode, make_generator, parity_check, rlc_decode
 from .simcli import SimConfig, SimRecord, run_experiment, run_trial
 from .syndrome_decoder import SyndromeSystem, compute_syndrome, sd_repair, sd_solve_column
@@ -41,14 +49,16 @@ __all__ = [
     "encode",
     "enumerate_candidates",
     "make_generator",
+    "needs_repair",
     "parity_check",
-    "repair_and_redecode",
+    "redecode",
     "rlc_decode",
     "run_experiment",
     "run_trial",
     "sd_repair",
     "sd_solve_column",
     "sorted_classes",
+    "syndrome_system",
     "tg_repair",
     "tg_solve_column",
 ]

@@ -5,6 +5,11 @@ direct comparison with the transmitted truth, standing in for an ideal
 CRC that consumes no payload.  Repairs are likewise verified against
 the truth before their rows are promoted to the clean set, so a
 successful decode always returns the true source packets.
+
+A receiver run is one plain attempt (`attempt_rlc`).  When
+`needs_repair` holds, `syndrome_system` builds the repair system once, a
+decoder (`sd_repair` or `tg_repair`) estimates the corrupted rows from
+it, and `redecode` verifies, promotes and decodes again.
 """
 
 from __future__ import annotations
@@ -12,19 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gf2
-from .channel import ChannelParams
 from .gf2 import BitMatrix
-from .rlc import Generator, ParityCheck, rlc_decode
-from .syndrome_decoder import (
-    DEFAULT_QUERY_CAP,
-    SyndromeSystem,
-    compute_syndrome,
-    sd_repair,
-)
-from .tgrand import tg_repair
-
-METHOD_SD = "sd"
-METHOD_TGRAND = "tgrand"
+from .rlc import Generator, parity_check, rlc_decode
+from .search import RepairResult
+from .syndrome_decoder import SyndromeSystem, compute_syndrome
 
 
 @dataclass(frozen=True)
@@ -64,18 +60,9 @@ def classify(y: BitMatrix, truth_x: BitMatrix) -> ReceivedBatch:
 
 def attempt_rlc(batch: ReceivedBatch, gen: Generator) -> DecodeOutcome:
     """Decode from the clean rows alone; succeeds iff they span rank K."""
-    g_r = gen.matrix.take_rows(batch.r)
-    y_r = batch.y.take_rows(batch.r)
-    rk = gf2.rank(g_r)
-    if rk < gen.k:
-        return DecodeOutcome(
-            success=False, u_hat=None, nu=0, queries_total=0, rank_before=rk, rank_after=rk
-        )
-    u_hat = rlc_decode(g_r, y_r)
-    if u_hat is None:  # cannot happen at full rank
-        raise AssertionError("full-rank system failed to solve")
+    rk, u_hat = _rank_and_decode(gen, gen.matrix.take_rows(batch.r), batch.y.take_rows(batch.r))
     return DecodeOutcome(
-        success=True, u_hat=u_hat, nu=0, queries_total=0, rank_before=rk, rank_after=rk
+        success=u_hat is not None, u_hat=u_hat, nu=0, queries_total=0, rank_before=rk, rank_after=rk
     )
 
 
@@ -85,41 +72,24 @@ def needs_repair(batch: ReceivedBatch, gen: Generator, base: DecodeOutcome) -> b
     return not base.success and gen.n > gen.k and bool(batch.rbar)
 
 
-def repair_and_redecode(
-    batch: ReceivedBatch,
-    gen: Generator,
-    h: ParityCheck,
-    method: str,
-    params: ChannelParams | None = None,
-    query_cap: int = DEFAULT_QUERY_CAP,
-    base: DecodeOutcome | None = None,
+def syndrome_system(batch: ReceivedBatch, gen: Generator) -> SyndromeSystem:
+    """The repair system of a batch: H_R̄ᵀ and S = Hᵀ·Y, eliminated once and
+    shared by every repair run on it."""
+    h = parity_check(gen)
+    return SyndromeSystem(
+        ht=h.matrix.take_rows(batch.rbar).transpose(), s=compute_syndrome(h, batch.y)
+    )
+
+
+def redecode(
+    batch: ReceivedBatch, gen: Generator, base: DecodeOutcome, result: RepairResult
 ) -> DecodeOutcome:
-    """One repair pass over the corrupted rows, then a second decode attempt.
+    """Second decode attempt after one repair pass over the corrupted rows.
 
     Repaired rows that verify against the truth are promoted to the clean
-    set; the enlarged system is decoded once.  When the plain attempt
-    succeeds, when there are no parity packets (N == K) or when no row is
-    corrupted, repair is skipped and the plain outcome is returned.
-    ``base`` is ``attempt_rlc(batch, gen)`` when the caller already has
-    it, so several repair methods can share one plain attempt.
+    set; the enlarged system is decoded once.  ``base`` is the plain
+    attempt, whose rank the outcome reports as ``rank_before``.
     """
-    if method not in (METHOD_SD, METHOD_TGRAND):
-        raise ValueError(f"unknown repair method {method!r}")
-    if method == METHOD_TGRAND and params is None:
-        raise ValueError("tgrand repair needs the channel parameters")
-    if base is None:
-        base = attempt_rlc(batch, gen)
-    if not needs_repair(batch, gen, base):
-        return base
-
-    s = compute_syndrome(h, batch.y)
-    ht_rbar = h.matrix.take_rows(batch.rbar).transpose()
-    system = SyndromeSystem(ht=ht_rbar, s=s)
-    if method == METHOD_SD:
-        result = sd_repair(system, query_cap)
-    else:
-        result = tg_repair(system, params, query_cap)
-
     y_rbar = batch.y.take_rows(batch.rbar)
     x_hat_rbar = gf2.add(y_rbar, result.e_hat)
     verified = [
@@ -130,24 +100,23 @@ def repair_and_redecode(
     promoted = [batch.rbar[idx] for idx in verified]
     g_new = gen.matrix.take_rows(list(batch.r) + promoted)
     y_new = batch.y.take_rows(batch.r).vstack(x_hat_rbar.take_rows(verified))
-    rank_after = gf2.rank(g_new)
-    if rank_after < gen.k:
-        return DecodeOutcome(
-            success=False,
-            u_hat=None,
-            nu=len(promoted),
-            queries_total=result.queries_total,
-            rank_before=base.rank_before,
-            rank_after=rank_after,
-        )
-    u_hat = rlc_decode(g_new, y_new)
-    if u_hat is None:
-        raise AssertionError("full-rank repaired system failed to solve")
+    rank_after, u_hat = _rank_and_decode(gen, g_new, y_new)
     return DecodeOutcome(
-        success=True,
+        success=u_hat is not None,
         u_hat=u_hat,
         nu=len(promoted),
         queries_total=result.queries_total,
         rank_before=base.rank_before,
         rank_after=rank_after,
     )
+
+
+def _rank_and_decode(gen: Generator, g_rows: BitMatrix, y_rows: BitMatrix):
+    """(rank of g_rows, U decoded from the rows, or None below rank K)."""
+    rk = gf2.rank(g_rows)
+    if rk < gen.k:
+        return rk, None
+    u_hat = rlc_decode(g_rows, y_rows)
+    if u_hat is None:  # cannot happen at full rank
+        raise AssertionError("full-rank system failed to solve")
+    return rk, u_hat

@@ -23,13 +23,21 @@ steps:
 A hit past the cap, or a target outside the column space of ht, leaves
 the column unresolved at a cost of min(2^L, cap) queries, exactly as if
 the order had been walked to the cap.
+
+One loop (`repair_columns`) solves the B columns of a system left to
+right.  A decoder supplies only the search for each column, given the
+previous column's estimate: the syndrome decoder ignores it and uses one
+search throughout, transversal GRAND keeps one search per prior.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import islice
 from math import comb
 from typing import Callable, Iterator, Protocol, Sequence
+
+from .gf2 import BitMatrix
 
 # A first hit: (candidate mask, queries used), or (None, queries) when the
 # column is unresolved.
@@ -56,12 +64,10 @@ class SearchCore:
     the coset dimension d = L - rank(ht); for a received batch it equals
     K - rank(G_R).
 
-    Work bound: the scan of one order tests at most min(2^d, cap)
-    candidates in all, shared by every target in that order; a target the
-    scan misses costs at most 2^d block and 2^d position evaluations more.
+    One core serves every candidate order over the same system.
     """
 
-    def __init__(self, cols: Sequence[int], query_cap: int):
+    def __init__(self, cols: Sequence[int]):
         # Each pivot is (pivot bit, reduced column, mask of the original
         # columns whose XOR gives it); a column that reduces to zero gives
         # the mask of a kernel vector.
@@ -80,8 +86,7 @@ class SearchCore:
         self._pivots = pivots
         self._kernel = kernel
         self.dim = len(kernel)
-        self.query_cap = query_cap
-        self.miss_cost = min(1 << len(cols), query_cap)
+        self.num_unknowns = len(cols)
         self.syndrome = _syndrome_function(cols)
 
     def particular(self, target: int) -> int | None:
@@ -102,13 +107,20 @@ class SearchCore:
 
 
 class OrderedSearch:
-    """First-hit lookups in one candidate order, memoised per target."""
+    """First-hit lookups in one candidate order, memoised per target.
 
-    def __init__(self, core: SearchCore, order: CandidateOrder):
+    Work bound: the scan tests at most min(2^d, query_cap) candidates in
+    all, shared by every target; a target the scan misses costs at most
+    2^d block and 2^d position evaluations more.
+    """
+
+    def __init__(self, core: SearchCore, order: CandidateOrder, query_cap: int):
         self._core = core
         self._order = order
         self._masks = order.masks()
-        self._scan_limit = min(1 << core.dim, core.query_cap)
+        self._query_cap = query_cap
+        self._scan_limit = min(1 << core.dim, query_cap)
+        self._miss_cost = min(1 << core.num_unknowns, query_cap)
         self._scanned = 0
         # Syndrome -> first hit.  Holds every syndrome the scan has seen
         # and every target resolved after it.
@@ -126,7 +138,7 @@ class OrderedSearch:
         core = self._core
         x0 = core.particular(target)
         if x0 is None:
-            return None, core.miss_cost
+            return None, self._miss_cost
         found, syndrome, n = self._found, core.syndrome, self._scanned
         for mask in islice(self._masks, self._scan_limit - n):
             n += 1
@@ -137,17 +149,81 @@ class OrderedSearch:
                     self._scanned = n
                     return mask, n
         self._scanned = n
-        if self._scan_limit == core.query_cap:  # the scan walked the whole capped prefix
-            return None, core.miss_cost
+        if self._scan_limit == self._query_cap:  # the scan walked the whole capped prefix
+            return None, self._miss_cost
         members = core.coset(x0)
         blocks = [self._order.block(m) for m in members]
         first = min(blocks)
         pos, mask = min(
             (self._order.position(m), m) for m, b in zip(members, blocks) if b == first
         )
-        if pos > core.query_cap:
-            return None, core.miss_cost
+        if pos > self._query_cap:
+            return None, self._miss_cost
         return mask, pos
+
+
+@dataclass(frozen=True)
+class RepairResult:
+    """Estimated error rows for the corrupted packets, with per-column bookkeeping."""
+
+    e_hat: BitMatrix
+    unresolved: tuple[int, ...]
+    queries_per_column: tuple[int, ...]
+
+    @property
+    def queries_total(self) -> int:
+        return sum(self.queries_per_column)
+
+
+def repair_columns(
+    targets: Sequence[int], unknowns: int, search_for: Callable[[int], OrderedSearch]
+) -> RepairResult:
+    """Solve the columns left to right; ``search_for(prior)`` gives the search
+    for a column whose predecessor was estimated as ``prior``.
+
+    The prior of the first column is 0.  An unresolved column is left
+    all-zero, so the next column's prior is 0 again.
+    """
+    out_cols: list[int] = []
+    queries: list[int] = []
+    unresolved: list[int] = []
+    prior = 0
+    for b, target in enumerate(targets):
+        mask, q = search_for(prior).find(target)
+        queries.append(q)
+        if mask is None:
+            unresolved.append(b)
+            mask = 0
+        out_cols.append(mask)
+        prior = mask
+    return RepairResult(
+        e_hat=BitMatrix(len(targets), unknowns, out_cols).transpose(),
+        unresolved=tuple(unresolved),
+        queries_per_column=tuple(queries),
+    )
+
+
+def solve_column(
+    ht: BitMatrix, s: Sequence[int], order: CandidateOrder, query_cap: int
+) -> tuple[int, ...] | None:
+    """First candidate of `order` with ht·wᵀ = s, or None once the cap is hit."""
+    if len(s) != ht.rows:
+        raise ValueError(f"syndrome length {len(s)} does not match {ht.rows} checks")
+    mask, _ = OrderedSearch(SearchCore(ht.col_ints()), order, query_cap).find(bits_to_mask(s))
+    if mask is None:
+        return None
+    return mask_to_bits(mask, ht.cols)
+
+
+def bits_to_mask(bits: Sequence[int]) -> int:
+    mask = 0
+    for i, bit in enumerate(bits):
+        mask |= (bit & 1) << i
+    return mask
+
+
+def mask_to_bits(mask: int, length: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(length))
 
 
 def lex_rank(mask: int, index: Sequence[int], n: int, k: int) -> int:

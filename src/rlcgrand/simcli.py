@@ -11,11 +11,14 @@ count or scheduling.
 Each trial runs the plain RLC attempt once.  That outcome is the rlc
 decoder's, and it is what the sd and tgrand repairs return whenever no
 repair is needed (the attempt succeeded, N == K, or no row is
-corrupted); only failed attempts go on to a repair pass.  A decoder's
+corrupted).  Otherwise the trial builds one syndrome system (H, S = Hᵀ·Y,
+H_R̄ᵀ, eliminated once), and both repairs run on it.  A decoder's
 ``wall_seconds`` is the time spent on its outcome: the shared attempt is
-timed once and charged in full to every decoder, plus the decoder's own
-repair, so the three columns stay comparable.  Trial generation (data,
-generator, channel) and the parity-check matrix are charged to none.
+timed once and charged in full to every decoder, the syndrome system's
+build is timed once and charged in full to each repairing decoder, and
+each repairing decoder adds its own repair and re-decode, so the three
+columns stay comparable.  Trial generation (data, generator, channel) is
+charged to none.
 """
 
 from __future__ import annotations
@@ -26,16 +29,17 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
 from . import channel
 from .channel import ChannelParams
-from .pipeline import DecodeOutcome, attempt_rlc, classify, needs_repair, repair_and_redecode
-from .rlc import make_generator, encode, parity_check
+from .pipeline import DecodeOutcome, attempt_rlc, classify, needs_repair, redecode, syndrome_system
+from .rlc import make_generator, encode
 from .rng import derive_seed, random_bit_matrix
-from .syndrome_decoder import DEFAULT_QUERY_CAP
+from .syndrome_decoder import DEFAULT_QUERY_CAP, sd_repair
+from .tgrand import tg_repair
 
 DECODERS = ("rlc", "sd", "tgrand")
 CSV_HEADER = "decoder,K,N,B,eps,lambda,trials,successes,decoding_probability,mean_queries,wall_seconds"
@@ -63,6 +67,7 @@ class SimConfig:
     query_cap: int = DEFAULT_QUERY_CAP
     out_path: str | None = None
     workers: int = 1
+    channel_params: ChannelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -71,10 +76,6 @@ class SimConfig:
             raise ValueError("every N must be at least K")
         if self.b < 1:
             raise ValueError("packet length must be at least 1")
-        if not 0.0 <= self.eps < 1.0:
-            raise ValueError("eps must be in [0, 1)")
-        if self.burst_len < 1.0:
-            raise ValueError("burst length must be at least 1")
         bad = [d for d in self.decoders if d not in DECODERS]
         if bad or not self.decoders:
             raise ValueError(f"decoders must be a non-empty subset of {DECODERS}, got {self.decoders}")
@@ -84,10 +85,9 @@ class SimConfig:
             raise ValueError("query cap must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-
-    @property
-    def channel_params(self) -> ChannelParams:
-        return ChannelParams.from_eps_lambda(self.eps, self.burst_len)
+        # Rejects an infeasible (eps, burst length) pair here, not in a trial.
+        params = ChannelParams.from_eps_lambda(self.eps, self.burst_len)
+        object.__setattr__(self, "channel_params", params)
 
 
 @dataclass(frozen=True)
@@ -121,24 +121,27 @@ def _trial_batch(config: SimConfig, n: int, trial_index: int):
 def _trial_outcomes(config: SimConfig, n: int, trial_index: int, decoders: tuple[str, ...]):
     """Run ``decoders`` on one trial: a list of (decoder, outcome, seconds).
 
-    The plain attempt runs once and is shared, as the module docstring
-    describes; H is built only when a repair pass will run.
+    The plain attempt and, when a repair pass will run, the syndrome
+    system are built once and shared, as the module docstring describes.
     """
     gen, batch, params = _trial_batch(config, n, trial_index)
     t0 = time.perf_counter()
     base = attempt_rlc(batch, gen)
     base_seconds = time.perf_counter() - t0
-    h = parity_check(gen) if needs_repair(batch, gen, base) else None
+    system = syndrome_system(batch, gen) if needs_repair(batch, gen, base) else None
+    shared_seconds = time.perf_counter() - t0
     results = []
     for d in decoders:
+        if d == "rlc" or system is None:
+            results.append((d, base, base_seconds))
+            continue
         t0 = time.perf_counter()
-        if d == "rlc" or h is None:
-            out = base
+        if d == "sd":
+            result = sd_repair(system, config.query_cap)
         else:
-            out = repair_and_redecode(
-                batch, gen, h, method=d, params=params, query_cap=config.query_cap, base=base
-            )
-        results.append((d, out, base_seconds + time.perf_counter() - t0))
+            result = tg_repair(system, params, config.query_cap)
+        out = redecode(batch, gen, base, result)
+        results.append((d, out, shared_seconds + time.perf_counter() - t0))
     return results
 
 
@@ -318,22 +321,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_CONFIG_TYPES = {
-    "k": int, "n_min": int, "n_max": int, "b": int, "eps": float, "burst_len": float,
-    "decoders": str, "trials": int, "seed": int, "query_cap": int, "out": str, "workers": int,
-}
-
-
 def config_from_args(argv=None) -> SimConfig:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
+        # Every flag except --help and --config may be set in the file.  The
+        # values become string defaults, which argparse converts with the
+        # flag's own type, exactly as if they had been given as flags.
+        keys = {a.dest for a in parser._actions if a.default is not argparse.SUPPRESS}
         file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(_CONFIG_TYPES)
+        unknown = set(file_values) - keys - {"config"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        defaults = {key: _CONFIG_TYPES[key](val) for key, val in file_values.items()}
-        parser.set_defaults(**defaults)
+        parser.set_defaults(**file_values)
         args = parser.parse_args(argv)
     if args.n_max < args.n_min:
         raise ValueError("n-max must be at least n-min")
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     print(f"wrote {len(records)} records to {config.out_path}")
     return 0
 

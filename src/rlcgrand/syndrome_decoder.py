@@ -20,7 +20,7 @@ equal those of walking the order to the first hit, or to the query cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from math import comb
 from typing import Iterator, Sequence
@@ -28,42 +28,34 @@ from typing import Iterator, Sequence
 from . import gf2
 from .gf2 import BitMatrix
 from .rlc import ParityCheck
-from .search import CandidateOrder, OrderedSearch, SearchCore, lex_rank
+from .search import OrderedSearch, RepairResult, SearchCore, lex_rank, repair_columns, solve_column
 
 DEFAULT_QUERY_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
 class SyndromeSystem:
-    """Per-batch syndrome system: ht = (H_corrupted)ᵀ of shape (N-K)×L, s = (N-K)×B."""
+    """Per-batch syndrome system: ht = (H_corrupted)ᵀ of shape (N-K)×L, s = (N-K)×B.
+
+    The columns of ht are eliminated (`core`) and s is split into its B
+    column targets (`targets`) once, when the system is built, so every
+    repair run on the system shares that work.
+    """
 
     ht: BitMatrix
     s: BitMatrix
+    core: SearchCore = field(init=False, repr=False, compare=False)
+    targets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s.rows != self.ht.rows:
             raise ValueError("syndrome row count must match parity-check row count")
+        object.__setattr__(self, "core", SearchCore(self.ht.col_ints()))
+        object.__setattr__(self, "targets", self.s.col_ints())
 
     @property
     def num_unknowns(self) -> int:
         return self.ht.cols
-
-    @property
-    def num_columns(self) -> int:
-        return self.s.cols
-
-
-@dataclass(frozen=True)
-class RepairResult:
-    """Estimated error rows for the corrupted packets, with per-column bookkeeping."""
-
-    e_hat: BitMatrix
-    unresolved: tuple[int, ...]
-    queries_per_column: tuple[int, ...]
-
-    @property
-    def queries_total(self) -> int:
-        return sum(self.queries_per_column)
 
 
 def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
@@ -79,33 +71,19 @@ def sd_solve_column(
     Search order: weight 0, 1, 2, ...; within a weight, support sets in
     lexicographic position order.
     """
-    return _solve_column(ht, s, _WeightOrder(ht.cols), query_cap)
+    return solve_column(ht, s, _WeightOrder(ht.cols), query_cap)
 
 
 def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> RepairResult:
     """Solve every column of the system independently at minimum weight.
 
     Columns whose search exceeds the cap are left all-zero and reported
-    in `unresolved`.  All columns share one candidate order, so one
-    search serves every target.
+    in `unresolved`.  The weight order ignores the previous column, so
+    one search serves every target.
     """
     l = system.num_unknowns
-    search = OrderedSearch(SearchCore(system.ht.col_ints(), query_cap), _WeightOrder(l))
-    out_cols: list[int] = []
-    queries: list[int] = []
-    unresolved: list[int] = []
-    for b, target in enumerate(system.s.col_ints()):
-        mask, q = search.find(target)
-        queries.append(q)
-        if mask is None:
-            unresolved.append(b)
-            out_cols.append(0)
-        else:
-            out_cols.append(mask)
-    e_hat = BitMatrix(system.num_columns, l, out_cols).transpose()
-    return RepairResult(
-        e_hat=e_hat, unresolved=tuple(unresolved), queries_per_column=tuple(queries)
-    )
+    search = OrderedSearch(system.core, _WeightOrder(l), query_cap)
+    return repair_columns(system.targets, l, lambda prior: search)
 
 
 class _WeightOrder:
@@ -128,26 +106,3 @@ class _WeightOrder:
     def position(self, mask: int) -> int:
         w = mask.bit_count()
         return self._offsets[w] + lex_rank(mask, range(self._l), self._l, w) + 1
-
-
-def _solve_column(
-    ht: BitMatrix, s: Sequence[int], order: CandidateOrder, query_cap: int
-) -> tuple[int, ...] | None:
-    """First candidate of `order` with ht·wᵀ = s, or None once the cap is hit."""
-    if len(s) != ht.rows:
-        raise ValueError(f"syndrome length {len(s)} does not match {ht.rows} checks")
-    mask, _ = OrderedSearch(SearchCore(ht.col_ints(), query_cap), order).find(_bits_to_mask(s))
-    if mask is None:
-        return None
-    return _mask_to_bits(mask, ht.cols)
-
-
-def _bits_to_mask(bits: Sequence[int]) -> int:
-    mask = 0
-    for i, bit in enumerate(bits):
-        mask |= (bit & 1) << i
-    return mask
-
-
-def _mask_to_bits(mask: int, length: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(length))

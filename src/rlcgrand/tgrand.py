@@ -32,21 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
 from .channel import ChannelParams
 from .gf2 import BitMatrix
-from .search import OrderedSearch, SearchCore, lex_rank
-from .syndrome_decoder import (
-    DEFAULT_QUERY_CAP,
-    RepairResult,
-    SyndromeSystem,
-    _bits_to_mask,
-    _mask_to_bits,
-    _solve_column,
+from .search import (
+    OrderedSearch, RepairResult, bits_to_mask, lex_rank, mask_to_bits, repair_columns, solve_column,
 )
+from .syndrome_decoder import DEFAULT_QUERY_CAP, SyndromeSystem
 
 # Two class probabilities tie when their logs agree to this tolerance;
 # ties fall back to (l0+l1, l0) ordering so runs are reproducible.
@@ -65,20 +60,13 @@ class TransitionClass:
 
 @dataclass(frozen=True)
 class ColumnPrior:
-    """Previous column's estimate, split into zero and one positions."""
+    """Previous column's estimate, one bit per corrupted packet."""
 
     prev: tuple[int, ...]
-    zero_positions: tuple[int, ...]
-    one_positions: tuple[int, ...]
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "ColumnPrior":
-        prev = tuple(b & 1 for b in bits)
-        return cls(
-            prev=prev,
-            zero_positions=tuple(i for i, b in enumerate(prev) if b == 0),
-            one_positions=tuple(i for i, b in enumerate(prev) if b == 1),
-        )
+        return cls(prev=tuple(b & 1 for b in bits))
 
     @classmethod
     def all_zero(cls, length: int) -> "ColumnPrior":
@@ -175,9 +163,9 @@ def enumerate_candidates(
     the outer loop and the flipped one positions as the inner loop.
     The emitted vectors use the original coordinate positions.
     """
-    order = _LikelihoodOrder(_bits_to_mask(prior.prev), prior.length, params)
+    order = _LikelihoodOrder(bits_to_mask(prior.prev), prior.length, params)
     for mask in order.masks():
-        yield _mask_to_bits(mask, prior.length)
+        yield mask_to_bits(mask, prior.length)
 
 
 def tg_solve_column(
@@ -190,8 +178,8 @@ def tg_solve_column(
     """First candidate (in likelihood order) with ht·wᵀ = s, or None at the cap."""
     if prior.length != ht.cols:
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
-    order = _LikelihoodOrder(_bits_to_mask(prior.prev), ht.cols, params)
-    return _solve_column(ht, s, order, query_cap)
+    order = _LikelihoodOrder(bits_to_mask(prior.prev), ht.cols, params)
+    return solve_column(ht, s, order, query_cap)
 
 
 def tg_repair(
@@ -206,30 +194,12 @@ def tg_repair(
     search, so a repeated (prior, target) pair is answered from memory.
     """
     l = system.num_unknowns
-    core = SearchCore(system.ht.col_ints(), query_cap)
-    searches: dict[int, OrderedSearch] = {}
-    out_cols: list[int] = []
-    queries: list[int] = []
-    unresolved: list[int] = []
-    prior_mask = 0
-    for b, target in enumerate(system.s.col_ints()):
-        search = searches.get(prior_mask)
-        if search is None:
-            search = OrderedSearch(core, _LikelihoodOrder(prior_mask, l, params))
-            searches[prior_mask] = search
-        mask, q = search.find(target)
-        queries.append(q)
-        if mask is None:
-            unresolved.append(b)
-            out_cols.append(0)
-            prior_mask = 0
-        else:
-            out_cols.append(mask)
-            prior_mask = mask
-    e_hat = BitMatrix(system.num_columns, l, out_cols).transpose()
-    return RepairResult(
-        e_hat=e_hat, unresolved=tuple(unresolved), queries_per_column=tuple(queries)
-    )
+
+    @cache
+    def search_for(prior: int) -> OrderedSearch:
+        return OrderedSearch(system.core, _LikelihoodOrder(prior, l, params), query_cap)
+
+    return repair_columns(system.targets, l, search_for)
 
 
 class _LikelihoodOrder:

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import SplitMix64, derive_seed
-from rlcgrand.tgrand import ColumnPrior, enumerate_candidates
+from rlcgrand.tgrand import sorted_classes
 
 
 def rank_by_row_space(m: BitMatrix) -> int:
@@ -75,10 +75,24 @@ def weight_order(length: int):
 
 
 def likelihood_order(prior_mask: int, length: int, params):
-    """Transversal GRAND's candidate stream for one prior, as masks."""
-    prior = ColumnPrior.from_bits(tuple((prior_mask >> j) & 1 for j in range(length)))
-    for bits in enumerate_candidates(prior, params):
-        yield sum(bit << j for j, bit in enumerate(bits))
+    """Transversal GRAND's candidate stream for one prior, as masks.
+
+    All 2^L masks sorted by the index of their (l0, l1) flip class in
+    `sorted_classes`, then by the flipped zero positions, then by the
+    flipped one positions.
+    """
+    zeros = [j for j in range(length) if not prior_mask >> j & 1]
+    ones = [j for j in range(length) if prior_mask >> j & 1]
+    classes = sorted_classes(params, len(zeros), len(ones))
+    class_index = {(c.l0, c.l1): i for i, c in enumerate(classes)}
+
+    def key(mask):
+        flips = mask ^ prior_mask
+        flips0 = tuple(j for j in zeros if flips >> j & 1)
+        flips1 = tuple(j for j in ones if flips >> j & 1)
+        return class_index[len(flips0), len(flips1)], flips0, flips1
+
+    return iter(sorted(range(1 << length), key=key))
 
 
 def sd_repair_by_enumeration(ht: BitMatrix, s: BitMatrix, cap: int):

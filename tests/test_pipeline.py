@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlcgrand import channel, gf2, pipeline, rlc, syndrome_decoder as sd
+from rlcgrand import channel, gf2, pipeline, rlc, syndrome_decoder as sd, tgrand
 from rlcgrand.channel import ChannelParams
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import random_bit_matrix
@@ -79,6 +79,19 @@ class TestAttemptRlc:
         assert out.success and out.u_hat == u
 
 
+def _repair(method, system, params):
+    return sd.sd_repair(system) if method == "sd" else tgrand.tg_repair(system, params)
+
+
+def _receive(batch, g, method, params):
+    """One receiver run: the plain attempt, then one repair pass if needed."""
+    base = pipeline.attempt_rlc(batch, g)
+    if not pipeline.needs_repair(batch, g, base):
+        return base
+    system = pipeline.syndrome_system(batch, g)
+    return pipeline.redecode(batch, g, base, _repair(method, system, params))
+
+
 class TestRepairAndRedecode:
     PARAMS = ChannelParams.from_eps_lambda(0.1, 2.0)
 
@@ -88,9 +101,7 @@ class TestRepairAndRedecode:
         e = BitMatrix(6, 8, (0, 0, 1 << 1, 0, 1 << 3, 1 << 6))
         batch = _make_batch(g, u, e)
         assert gf2.rank(g.matrix.take_rows(batch.r)) == 2
-        out = pipeline.repair_and_redecode(
-            batch, g, rlc.parity_check(g), method, self.PARAMS
-        )
+        out = _receive(batch, g, method, self.PARAMS)
         assert out.success and out.u_hat == u
         assert out.nu == 3
         assert out.rank_before == 2 and out.rank_after == 3
@@ -104,9 +115,7 @@ class TestRepairAndRedecode:
         g, u = _hand_instance()
         e = BitMatrix(6, 8, (0, 0, 1 << 2, 0, 1 << 3, 1 << 2))
         batch = _make_batch(g, u, e)
-        out = pipeline.repair_and_redecode(
-            batch, g, rlc.parity_check(g), method, self.PARAMS
-        )
+        out = _receive(batch, g, method, self.PARAMS)
         assert not out.success
         assert out.nu == 0
         assert out.rank_after == 2
@@ -115,28 +124,18 @@ class TestRepairAndRedecode:
         g = rlc.make_generator(3, 6, 4)
         u = random_bit_matrix(5, 3, 8)
         batch = _make_batch(g, u, BitMatrix.zeros(6, 8))
-        out = pipeline.repair_and_redecode(batch, g, rlc.parity_check(g), "sd", self.PARAMS)
-        assert out.success and out.nu == 0 and out.queries_total == 0
+        base = pipeline.attempt_rlc(batch, g)
+        assert not pipeline.needs_repair(batch, g, base)
+        assert base.success and base.nu == 0 and base.queries_total == 0
 
     def test_no_parity_skips_repair(self):
         g = rlc.make_generator(3, 3, 4)
         u = random_bit_matrix(5, 3, 8)
         e = BitMatrix(3, 8, (0, 0, 255))
         batch = _make_batch(g, u, e)
-        out = pipeline.repair_and_redecode(batch, g, rlc.parity_check(g), "tgrand", self.PARAMS)
-        assert not out.success and out.nu == 0 and out.queries_total == 0
-
-    def test_unknown_method_rejected(self):
-        g, u = _hand_instance()
-        batch = _make_batch(g, u, BitMatrix.zeros(6, 8))
-        with pytest.raises(ValueError):
-            pipeline.repair_and_redecode(batch, g, rlc.parity_check(g), "bogus", self.PARAMS)
-
-    def test_tgrand_requires_params(self):
-        g, u = _hand_instance()
-        batch = _make_batch(g, u, BitMatrix.zeros(6, 8))
-        with pytest.raises(ValueError):
-            pipeline.repair_and_redecode(batch, g, rlc.parity_check(g), "tgrand", None)
+        base = pipeline.attempt_rlc(batch, g)
+        assert not pipeline.needs_repair(batch, g, base)
+        assert not base.success and base.nu == 0 and base.queries_total == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,7 +144,8 @@ class TestRepairAndRedecode:
     st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
 )
 def test_receiver_invariants_on_random_batches(k, extra, b, gseed, useed, eseed):
-    """Promotion soundness, success monotonicity and the syndrome identity."""
+    """Promotion soundness, success monotonicity, the syndrome identity, and
+    one syndrome system shared by both repairs in either order."""
     g = rlc.make_generator(k, k + extra, gseed)
     u = random_bit_matrix(useed, k, b)
     x = rlc.encode(g, u)
@@ -163,16 +163,22 @@ def test_receiver_invariants_on_random_batches(k, extra, b, gseed, useed, eseed)
     ht_rbar = h.matrix.take_rows(batch.rbar).transpose()
     assert syndrome == gf2.matmul(ht_rbar, e.take_rows(batch.rbar))
 
+    system = pipeline.syndrome_system(batch, g)
+    assert system.ht == ht_rbar and system.s == syndrome
+
+    fresh = {m: _repair(m, pipeline.syndrome_system(batch, g), params) for m in ("sd", "tgrand")}
+    for order in (("sd", "tgrand"), ("tgrand", "sd")):
+        shared = pipeline.syndrome_system(batch, g)
+        for method in order:
+            assert _repair(method, shared, params) == fresh[method]
+
     for method in ("sd", "tgrand"):
-        out = pipeline.repair_and_redecode(batch, g, h, method, params)
+        out = _receive(batch, g, method, params)
         if plain.success:
             assert out.success  # repair never loses clean rows
         if out.success:
             assert out.u_hat == u  # genie verification bars false promotion
         assert out.rank_after >= out.rank_before
         assert 0 <= out.nu <= len(batch.rbar)
-        repeat = pipeline.repair_and_redecode(batch, g, h, method, params)
-        assert repeat == out
-        shared = pipeline.repair_and_redecode(batch, g, h, method, params, base=plain)
-        assert shared == out
+        assert _receive(batch, g, method, params) == out
         assert pipeline.needs_repair(batch, g, plain) or out == plain

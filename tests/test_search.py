@@ -27,7 +27,7 @@ class TestCosetDimension:
         y, _ = channel.apply(ChannelParams.from_eps_lambda(eps, burst_len), x, nseed)
         batch = classify(y, x)
         ht = parity_check(gen).matrix.take_rows(batch.rbar).transpose()
-        core = SearchCore(ht.col_ints(), 1 << 20)
+        core = SearchCore(ht.col_ints())
         assert core.dim == len(batch.rbar) - gf2.rank(ht)
         assert core.dim == k - gf2.rank(gen.matrix.take_rows(batch.r))
 
@@ -37,7 +37,7 @@ class TestCoset:
     @given(st.integers(0, 5), st.integers(0, 6), seed)
     def test_coset_is_the_solution_set(self, checks, unknowns, hseed):
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht.col_ints(), 1 << 20)
+        core = SearchCore(ht.col_ints())
         for target in range(1 << checks):
             solutions = {m for m in range(1 << unknowns) if syndrome_of_mask(ht, m) == target}
             x0 = core.particular(target)
@@ -83,13 +83,16 @@ class TestWorkBound:
     def test_scan_and_rank_stay_within_bound(self, checks, unknowns, hseed, cap):
         # Every target, reachable or not: the answer matches enumeration,
         # at most min(2^d, cap) candidates are drawn in all and at most
-        # 2^d coset members are evaluated per target.
+        # 2^d coset members are evaluated per target.  One core serves
+        # searches with different caps.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht.col_ints(), cap)
-        order = CountingWeightOrder(unknowns)
-        search = OrderedSearch(core, order)
-        for target in range(1 << checks):
-            before = order.evaluated
-            assert search.find(target) == first_hit(weight_order(unknowns), ht, target, cap)
-            assert order.evaluated - before <= 1 << core.dim
-        assert order.drawn <= min(1 << core.dim, cap)
+        core = SearchCore(ht.col_ints())
+        for query_cap in (cap, 1 << 20):
+            order = CountingWeightOrder(unknowns)
+            search = OrderedSearch(core, order, query_cap)
+            for target in range(1 << checks):
+                before = order.evaluated
+                expected = first_hit(weight_order(unknowns), ht, target, query_cap)
+                assert search.find(target) == expected
+                assert order.evaluated - before <= 1 << core.dim
+            assert order.drawn <= min(1 << core.dim, query_cap)

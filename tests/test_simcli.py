@@ -41,6 +41,7 @@ class TestConfig:
             dict(decoders=()),
             dict(query_cap=0),
             dict(workers=0),
+            dict(eps=0.9, burst_len=1.0),  # each valid alone, but p01 = 9
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -277,7 +278,52 @@ class TestCli:
         assert "error: a worker was killed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_file_sets_every_flag(self, tmp_path):
+        flags = {
+            "k": "4", "n-min": "5", "n-max": "7", "b": "12", "eps": "0.02",
+            "burst-len": "3.5", "decoders": "sd,tgrand", "trials": "9", "seed": "5",
+            "query-cap": "77", "out": "x.csv", "workers": "3",
+        }
+        options = {
+            a.option_strings[0][2:]
+            for a in simcli._build_parser()._actions
+            if a.dest not in ("help", "config")
+        }
+        assert set(flags) == options
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text("".join(f"{key} = {val}\n" for key, val in flags.items()))
+        argv = [arg for key, val in flags.items() for arg in (f"--{key}", val)]
+        from_flags = simcli.config_from_args(argv)
+        assert from_flags == simcli.config_from_args(["--config", str(cfg_file)])
+        assert from_flags != simcli.config_from_args([])
+
+    def test_interrupt_exits_130_without_output(self, tmp_path, monkeypatch, capsys):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simcli, "run_experiment", interrupted)
+        out = tmp_path / "r.csv"
+        assert simcli.main(["--out", str(out)]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_interrupt_while_writing_leaves_no_temp(self, tmp_path, monkeypatch, capsys):
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(simcli.os, "replace", interrupted)
+        out = tmp_path / "r.csv"
+        argv = ["--k", "2", "--n-min", "2", "--n-max", "2", "--b", "4", "--trials", "1"]
+        assert simcli.main(argv + ["--out", str(out)]) == 130
+        assert "error: interrupted" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "sim.cfg"
         cfg_file.write_text("frobnicate = 1\n")
         assert simcli.main(["--config", str(cfg_file)]) == 2
+        # A known key with a bad value fails as the same flag would.
+        cfg_file.write_text("k = ten\n")
+        with pytest.raises(SystemExit) as exc:
+            simcli.main(["--config", str(cfg_file)])
+        assert exc.value.code == 2

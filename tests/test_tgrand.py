@@ -11,6 +11,7 @@ from rlcgrand.tgrand import ColumnPrior
 
 from oracles import (
     assert_repair_matches,
+    likelihood_order,
     map_solution,
     matvec_check,
     syndrome_of_mask,
@@ -94,6 +95,21 @@ class TestEnumeration:
         stream = list(tgrand.enumerate_candidates(prior, ChannelParams(p01=p01, p10=p10)))
         assert len(stream) == 2**prior.length
         assert len(set(stream)) == len(stream)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))),
+        st.just(0.0) | st.just(1.0) | coarse_prob,
+        st.just(1.0) | coarse_prob,
+    )
+    def test_stream_matches_sorted_oracle(self, prior, p01, p10):
+        length, prior_mask = prior
+        params = ChannelParams(p01=p01, p10=p10)
+        stream = tgrand.enumerate_candidates(
+            ColumnPrior.from_bits([prior_mask >> j & 1 for j in range(length)]), params
+        )
+        masks = [sum(bit << j for j, bit in enumerate(bits)) for bits in stream]
+        assert masks == list(likelihood_order(prior_mask, length, params))
 
     def test_completeness_at_twelve_unknowns(self):
         prior = ColumnPrior.from_bits((1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1))
