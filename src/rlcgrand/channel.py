@@ -23,21 +23,28 @@ scan v is the error row itself.  The scan is exact: it makes the same
 comparisons of the same uniforms as the bit-by-bit recurrence and only
 regroups Boolean algebra, so the noise is bit-identical to it.
 
-All rows share one Python int, row i in bits [i·B, (i+1)·B), so a round
-is a handful of whole-int shifts, ANDs and XORs.  m is cleared at each
-row's first bit: that step starts from state 0, so f_0 ignores its input,
-and a cleared m also stops every prefix at its own row.
+The comparisons are made on the integers a = z >> 11 behind the uniforms
+u = a·2^-53, against thresholds ceil(p·2^53): scaling by 2^53 is exact in
+binary64, so u < p iff a < ceil(p·2^53), and u >= p iff it is not.
+
+``apply_batch`` transmits many matrices of one shape at once.  All their
+rows share one Python int, row r in bits [r·B, (r+1)·B), so a round is a
+handful of whole-int shifts, ANDs and XORs.  m is cleared at each row's
+first bit: that step starts from state 0, so f_0 ignores its input, and a
+cleared m also stops every prefix at its own row.  ``apply`` is the batch
+of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from . import gf2
 from .gf2 import BitMatrix
-from .rng import derive_seeds, uniform_block
+from .rng import MASK64, derive_seeds, uint64_block
 
 
 @dataclass(frozen=True)
@@ -86,14 +93,25 @@ def apply(params: ChannelParams, x: BitMatrix, seed: int) -> tuple[BitMatrix, Bi
     driven by the substream derive_seed(seed, i).  Per-row substreams make
     the result independent of row evaluation order.
     """
-    n, b = x.rows, x.cols
-    if n == 0 or b == 0:
-        e = BitMatrix.zeros(n, b)
-        return x, e
-    u = uniform_block(derive_seeds(seed, n), b)
-    from_good = u < params.p01
-    depends = from_good ^ (u >= params.p10)
-    depends[:, 0] = False
+    [out] = apply_batch(params, [x], np.asarray([seed & MASK64], dtype=np.uint64))
+    return out
+
+
+def apply_batch(
+    params: ChannelParams, xs: Sequence[BitMatrix], seeds: np.ndarray
+) -> list[tuple[BitMatrix, BitMatrix]]:
+    """``apply(params, x, s)`` for each matrix x of ``xs`` (all of one shape)
+    and its seed s in the 1-D uint64 array ``seeds``, in one scan."""
+    if not xs:
+        return []
+    n, b = xs[0].rows, xs[0].cols
+    if any((x.rows, x.cols) != (n, b) for x in xs):
+        raise ValueError("every matrix of a batch must have the same shape")
+    a = uint64_block(derive_seeds(seeds[:, np.newaxis], np.arange(n)), b)
+    a >>= np.uint64(11)
+    from_good = a < _threshold(params.p01)
+    depends = from_good ^ (a >= _threshold(params.p10))
+    depends[..., :1] = False
     v, m = _pack(from_good), _pack(depends)
     shift = 1
     while shift < b:
@@ -102,10 +120,19 @@ def apply(params: ChannelParams, x: BitMatrix, seed: int) -> tuple[BitMatrix, Bi
         m &= m << shift
         shift <<= 1
     row_mask = (1 << b) - 1
-    e = BitMatrix(n, b, [(v >> (i * b)) & row_mask for i in range(n)])
-    return gf2.add(x, e), e
+    out = []
+    for t, x in enumerate(xs):
+        e = tuple((v >> ((t * n + i) * b)) & row_mask for i in range(n))
+        y = tuple(xr ^ er for xr, er in zip(x.row_ints, e))
+        out.append((BitMatrix.trusted(n, b, y), BitMatrix.trusted(n, b, e)))
+    return out
+
+
+def _threshold(p: float) -> np.uint64:
+    """ceil(p·2^53): a 53-bit draw a has a·2^-53 < p iff a < this."""
+    return np.uint64(math.ceil(p * 2.0**53))
 
 
 def _pack(bits: np.ndarray) -> int:
-    """Row-major bits of a 2-D bool array as one int (bit i·B + j = entry (i, j))."""
+    """Row-major bits of a bool array as one int (bit r·B + j = row r, entry j)."""
     return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")

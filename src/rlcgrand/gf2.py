@@ -43,12 +43,26 @@ class BitMatrix:
         self.row_ints = _check_row_ints(row_ints, cols)
 
     @classmethod
+    def trusted(cls, rows: int, cols: int, row_ints: tuple[int, ...]) -> "BitMatrix":
+        """A matrix from ``rows`` ints in [0, 2^cols), taken as given, unchecked.
+
+        For rows the library computes itself (products, sums, row subsets,
+        packed random bits), which fit by construction; a matrix built from
+        outside input goes through the validating constructor.
+        """
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.row_ints = row_ints
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
+        return cls.trusted(rows, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        return cls.trusted(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "BitMatrix":
@@ -97,15 +111,16 @@ class BitMatrix:
         return tuple(cols)
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows, self.col_ints())
+        return BitMatrix.trusted(self.cols, self.rows, self.col_ints())
 
     def take_rows(self, indices: Sequence[int]) -> "BitMatrix":
-        return BitMatrix(len(indices), self.cols, tuple(self.row_ints[i] for i in indices))
+        rows = self.row_ints
+        return BitMatrix.trusted(len(indices), self.cols, tuple(rows[i] for i in indices))
 
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
-        return BitMatrix(self.rows + other.rows, self.cols, self.row_ints + other.row_ints)
+        return BitMatrix.trusted(self.rows + other.rows, self.cols, self.row_ints + other.row_ints)
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_ints)
@@ -137,33 +152,69 @@ def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
             acc ^= b.row_ints[low.bit_length() - 1]
             r ^= low
         out.append(acc)
-    return BitMatrix(a.rows, b.cols, out)
+    return BitMatrix.trusted(a.rows, b.cols, tuple(out))
 
 
 def add(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Elementwise XOR; shapes must match."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    return BitMatrix(a.rows, a.cols, tuple(x ^ y for x, y in zip(a.row_ints, b.row_ints)))
+    return BitMatrix.trusted(a.rows, a.cols, tuple(x ^ y for x, y in zip(a.row_ints, b.row_ints)))
 
 
-def rank(a: BitMatrix) -> int:
-    """Rank over GF(2) by row elimination; 0 for empty or all-zero input."""
-    work = list(a.row_ints)
+def _eliminate(work: list[int], cols: int) -> int:
+    """Gauss-Jordan elimination in place on the low ``cols`` bits of ``work``.
+
+    Returns the rank r.  Afterwards rows [0, r) are the pivot rows, each the
+    only row with a bit at its pivot column, and rows [r, len) have no bit
+    below ``cols``.  Bits at and above ``cols`` (an augmented right-hand
+    side) ride along with their rows.
+    """
     r = 0
-    for col in range(a.cols):
+    for col in range(cols):
         bit = 1 << col
         pivot = next((i for i in range(r, len(work)) if work[i] & bit), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
+        row = work[r]
         for i in range(len(work)):
             if i != r and work[i] & bit:
-                work[i] ^= work[r]
+                work[i] ^= row
         r += 1
         if r == len(work):
             break
     return r
+
+
+def rank(a: BitMatrix) -> int:
+    """Rank over GF(2) by row elimination; 0 for empty or all-zero input."""
+    return _eliminate(list(a.row_ints), a.cols)
+
+
+def rank_solve(a: BitMatrix, b: BitMatrix) -> tuple[int, BitMatrix | None]:
+    """(rank of a, the unique X with a·X = b), from one elimination.
+
+    X is None when rank(a) < a.cols, which includes every system with fewer
+    rows than columns.  At full column rank, raises InconsistentSystemError
+    when the redundant rows contradict the pivots, which signals corrupted
+    rows being passed off as clean.
+    """
+    if b.rows != a.rows:
+        raise ValueError("right-hand side row count does not match")
+    n = a.cols
+    # Augmented rows: low n bits from `a`, the rest from `b` shifted past them.
+    work = [ra | (rb << n) for ra, rb in zip(a.row_ints, b.row_ints)]
+    r = _eliminate(work, n)
+    if r < n:
+        return r, None
+    if any(work[r:]):
+        raise InconsistentSystemError("redundant rows are inconsistent with the solution")
+    # Pivot row i has its single low bit at its pivot column.
+    x_rows = [0] * n
+    for w in work[:r]:
+        x_rows[(w & ((1 << n) - 1)).bit_length() - 1] = w >> n
+    return r, BitMatrix.trusted(n, b.cols, tuple(x_rows))
 
 
 def solve_unique(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
@@ -175,31 +226,4 @@ def solve_unique(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
     """
     if a.rows < a.cols:
         raise ValueError("system is underdetermined: fewer rows than columns")
-    if b.rows != a.rows:
-        raise ValueError("right-hand side row count does not match")
-    n = a.cols
-    # Augmented rows: low n bits from `a`, the rest from `b` shifted past them.
-    work = [a.row_ints[i] | (b.row_ints[i] << n) for i in range(a.rows)]
-    r = 0
-    for col in range(n):
-        bit = 1 << col
-        pivot = next((i for i in range(r, len(work)) if work[i] & bit), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & bit:
-                work[i] ^= work[r]
-        r += 1
-    if r < n:
-        return None
-    mask_a = (1 << n) - 1
-    for i in range(r, len(work)):
-        if work[i] >> n:
-            raise InconsistentSystemError("redundant rows are inconsistent with the solution")
-    # Reduced form: row i has single bit at its pivot column; order rows by pivot.
-    x_rows = [0] * n
-    for i in range(r):
-        pivot_col = (work[i] & mask_a).bit_length() - 1
-        x_rows[pivot_col] = work[i] >> n
-    return BitMatrix(n, b.cols, x_rows)
+    return rank_solve(a, b)[1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .gf2 import BitMatrix
-from .rlc import Generator, parity_check, rlc_decode
+from .rlc import Generator, parity_check
 from .search import RepairResult
 from .syndrome_decoder import SyndromeSystem, compute_syndrome
 
@@ -60,7 +60,7 @@ def classify(y: BitMatrix, truth_x: BitMatrix) -> ReceivedBatch:
 
 def attempt_rlc(batch: ReceivedBatch, gen: Generator) -> DecodeOutcome:
     """Decode from the clean rows alone; succeeds iff they span rank K."""
-    rk, u_hat = _rank_and_decode(gen, gen.matrix.take_rows(batch.r), batch.y.take_rows(batch.r))
+    rk, u_hat = gf2.rank_solve(gen.matrix.take_rows(batch.r), batch.y.take_rows(batch.r))
     return DecodeOutcome(
         success=u_hat is not None, u_hat=u_hat, nu=0, queries_total=0, rank_before=rk, rank_after=rk
     )
@@ -100,7 +100,7 @@ def redecode(
     promoted = [batch.rbar[idx] for idx in verified]
     g_new = gen.matrix.take_rows(list(batch.r) + promoted)
     y_new = batch.y.take_rows(batch.r).vstack(x_hat_rbar.take_rows(verified))
-    rank_after, u_hat = _rank_and_decode(gen, g_new, y_new)
+    rank_after, u_hat = gf2.rank_solve(g_new, y_new)
     return DecodeOutcome(
         success=u_hat is not None,
         u_hat=u_hat,
@@ -110,13 +110,3 @@ def redecode(
         rank_after=rank_after,
     )
 
-
-def _rank_and_decode(gen: Generator, g_rows: BitMatrix, y_rows: BitMatrix):
-    """(rank of g_rows, U decoded from the rows, or None below rank K)."""
-    rk = gf2.rank(g_rows)
-    if rk < gen.k:
-        return rk, None
-    u_hat = rlc_decode(g_rows, y_rows)
-    if u_hat is None:  # cannot happen at full rank
-        raise AssertionError("full-rank system failed to solve")
-    return rk, u_hat

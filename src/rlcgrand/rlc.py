@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf2
 from .gf2 import BitMatrix
-from .rng import random_bit_matrix
+from .rng import MASK64, random_rows
 
 
 @dataclass(frozen=True)
@@ -48,12 +50,22 @@ def make_generator(k: int, n: int, seed: int) -> Generator:
     filled row-major.  The stream is part of the package contract: the
     same (k, n, seed) must produce the same generator in every version.
     """
+    [gen] = make_generators(k, n, np.asarray([seed & MASK64], dtype=np.uint64))
+    return gen
+
+
+def make_generators(k: int, n: int, seeds: np.ndarray) -> list[Generator]:
+    """``make_generator(k, n, s)`` for each seed s of a 1-D uint64 array,
+    with every P drawn in one pass."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < k:
         raise ValueError("n must be at least k")
-    p = random_bit_matrix(seed, n - k, k)
-    return Generator(k=k, n=n, matrix=BitMatrix.identity(k).vstack(p), seed=seed)
+    top = BitMatrix.identity(k).row_ints
+    return [
+        Generator(k=k, n=n, matrix=BitMatrix.trusted(n, k, top + p), seed=seed)
+        for p, seed in zip(random_rows(seeds, n - k, k), seeds.tolist())
+    ]
 
 
 def encode(gen: Generator, u: BitMatrix) -> BitMatrix:

@@ -15,11 +15,14 @@ worker counts.  The contract is frozen because golden fixtures depend on it:
 The block functions (``uint64_block``, ``uniform_block``, ``bit_block``)
 broadcast over an array of seeds: given seeds of shape S they return
 shape S + (n,), whose row for seed s is the block of s alone.
-``derive_seeds`` makes such an array, ``derive_seed(seed, i)`` for each
-row i, in one vectorized pass.
+``derive_seeds`` makes such arrays, ``derive_seed(s, l)`` for every
+broadcast pair of seeds and labels, in one vectorized pass, and
+``random_rows`` packs many seeds' random matrices in one pass.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -86,10 +89,12 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_seeds(seed: int, count: int) -> np.ndarray:
-    """``derive_seed(seed, i)`` for i in range(count), as a uint64 array."""
-    labels = _mix64_vec(np.arange(count, dtype=np.uint64) + _UGAMMA)
-    return _mix64_vec(np.uint64((seed + GAMMA) & MASK64) ^ labels)
+def derive_seeds(seeds: int | np.ndarray, labels: int | np.ndarray) -> np.ndarray:
+    """``derive_seed(s, l)`` for each pair of the broadcast seeds and labels,
+    as a uint64 array of at least one dimension (one label folded in, as one
+    step of ``derive_seed``)."""
+    mixed = _mix64_vec(np.atleast_1d(np.asarray(labels, dtype=np.uint64)) + _UGAMMA)
+    return _mix64_vec((np.asarray(seeds & MASK64, dtype=np.uint64) + _UGAMMA) ^ mixed)
 
 
 def uint64_block(seed: int | np.ndarray, n: int) -> np.ndarray:
@@ -112,15 +117,23 @@ def bit_block(seed: int | np.ndarray, n: int) -> np.ndarray:
 
 def random_bit_matrix(seed: int, rows: int, cols: int) -> BitMatrix:
     """Uniform random BitMatrix; bits drawn row-major from the seed's stream."""
-    if rows == 0 or cols == 0:
-        return BitMatrix.zeros(rows, cols)
-    bits = bit_block(seed, rows * cols).reshape(rows, cols)
-    return bit_matrix_from_array(bits)
+    [ints] = random_rows(np.asarray([seed & MASK64], dtype=np.uint64), rows, cols)
+    return BitMatrix.trusted(rows, cols, ints)
 
 
-def bit_matrix_from_array(bits: np.ndarray) -> BitMatrix:
-    """Pack a 2-D 0/1 uint8 array into a BitMatrix (bit j = column j)."""
-    rows, cols = bits.shape
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    ints = [int.from_bytes(packed[i].tobytes(), "little") for i in range(rows)]
-    return BitMatrix(rows, cols, ints)
+def random_rows(seeds: np.ndarray, rows: int, cols: int) -> list[tuple[int, ...]]:
+    """The row ints of ``random_bit_matrix(s, rows, cols)`` for each seed s
+    of a 1-D array, drawn and packed in one pass."""
+    bits = bit_block(seeds, rows * cols).reshape(len(seeds), rows, cols)
+    ints = _packed_rows(bits)
+    return [tuple(ints[i * rows:(i + 1) * rows]) for i in range(len(seeds))]
+
+
+def _packed_rows(bits: np.ndarray) -> list[int]:
+    """Each row along the last axis of a 0/1 array as an int (bit j = entry
+    j), for the leading axes in row-major order."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    data = packed.tobytes()
+    count = math.prod(bits.shape[:-1])
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(count)]

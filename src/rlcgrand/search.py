@@ -197,7 +197,7 @@ def repair_columns(
         out_cols.append(mask)
         prior = mask
     return RepairResult(
-        e_hat=BitMatrix(len(targets), unknowns, out_cols).transpose(),
+        e_hat=BitMatrix.trusted(len(targets), unknowns, tuple(out_cols)).transpose(),
         unresolved=tuple(unresolved),
         queries_per_column=tuple(queries),
     )

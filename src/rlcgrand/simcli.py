@@ -19,6 +19,13 @@ build is timed once and charged in full to each repairing decoder, and
 each repairing decoder adds its own repair and re-decode, so the three
 columns stay comparable.  Trial generation (data, generator, channel) is
 charged to none.
+
+Trials run in chunks of _CHUNK per N, serially or on a process pool.  A
+chunk generates its trials in passes of at most _BATCH_BITS channel bits
+(trials × N × B): each pass derives the seeds, draws P, U and the noise,
+and runs the channel scan for all of its trials in a few array
+operations, and its trials are decoded before the next pass is drawn, so
+a chunk never holds more than one pass of generated trials.
 """
 
 from __future__ import annotations
@@ -33,11 +40,14 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
+import numpy as np
+
 from . import channel
 from .channel import ChannelParams
+from .gf2 import BitMatrix
 from .pipeline import DecodeOutcome, attempt_rlc, classify, needs_repair, redecode, syndrome_system
-from .rlc import make_generator, encode
-from .rng import derive_seed, random_bit_matrix
+from .rlc import encode, make_generators
+from .rng import derive_seed, derive_seeds, random_rows
 from .syndrome_decoder import DEFAULT_QUERY_CAP, sd_repair
 from .tgrand import tg_repair
 
@@ -48,8 +58,13 @@ CSV_HEADER = "decoder,K,N,B,eps,lambda,trials,successes,decoding_probability,mea
 _TAG_GEN = 1
 _TAG_DATA = 2
 _TAG_NOISE = 3
+_TAGS = np.array([_TAG_GEN, _TAG_DATA, _TAG_NOISE], dtype=np.uint64)
 
 _CHUNK = 200
+# Channel bits (trials × N × B) drawn per array pass of trial generation.
+# It bounds the pass's temporary arrays, and so the driver's peak memory,
+# while still spreading each NumPy call over several trials.
+_BATCH_BITS = 8192
 
 
 @dataclass(frozen=True)
@@ -107,24 +122,44 @@ class SimRecord:
     wall_seconds: float
 
 
+def _trials(config: SimConfig, n: int, start: int, stop: int):
+    """Yield the (G, batch) of each trial in [start, stop), in order.
+
+    Trial t's seed is derive_seed(master_seed, N, t), and its generator,
+    source data and noise come from that seed's _TAG_* children.  The
+    trials are drawn in passes of at most _BATCH_BITS channel bits, each
+    pass a few array operations over all of its trials, and are yielded
+    as each pass completes.
+    """
+    k, b, params = config.k, config.b, config.channel_params
+    step = max(1, _BATCH_BITS // (n * b))
+    n_seed = derive_seed(config.master_seed, n)
+    for lo in range(start, stop, step):
+        trial_seeds = derive_seeds(n_seed, np.arange(lo, min(lo + step, stop)))
+        # One column per substream: generator, source data, noise.
+        seeds = derive_seeds(trial_seeds[:, np.newaxis], _TAGS)
+        gens = make_generators(k, n, seeds[:, 0])
+        xs = [
+            encode(gen, BitMatrix.trusted(k, b, u))
+            for gen, u in zip(gens, random_rows(seeds[:, 1], k, b))
+        ]
+        received = channel.apply_batch(params, xs, seeds[:, 2])
+        for gen, x, (y, _) in zip(gens, xs, received):
+            yield gen, classify(y, x)
+
+
 def _trial_batch(config: SimConfig, n: int, trial_index: int):
     """Generate the (G, batch, params) shared by all decoders of one trial."""
-    tseed = derive_seed(config.master_seed, n, trial_index)
-    gen = make_generator(config.k, n, derive_seed(tseed, _TAG_GEN))
-    u = random_bit_matrix(derive_seed(tseed, _TAG_DATA), config.k, config.b)
-    x = encode(gen, u)
-    params = config.channel_params
-    y, _ = channel.apply(params, x, derive_seed(tseed, _TAG_NOISE))
-    return gen, classify(y, x), params
+    gen, batch = next(_trials(config, n, trial_index, trial_index + 1))
+    return gen, batch, config.channel_params
 
 
-def _trial_outcomes(config: SimConfig, n: int, trial_index: int, decoders: tuple[str, ...]):
+def _trial_outcomes(config: SimConfig, gen, batch, decoders: tuple[str, ...]):
     """Run ``decoders`` on one trial: a list of (decoder, outcome, seconds).
 
     The plain attempt and, when a repair pass will run, the syndrome
     system are built once and shared, as the module docstring describes.
     """
-    gen, batch, params = _trial_batch(config, n, trial_index)
     t0 = time.perf_counter()
     base = attempt_rlc(batch, gen)
     base_seconds = time.perf_counter() - t0
@@ -139,7 +174,7 @@ def _trial_outcomes(config: SimConfig, n: int, trial_index: int, decoders: tuple
         if d == "sd":
             result = sd_repair(system, config.query_cap)
         else:
-            result = tg_repair(system, params, config.query_cap)
+            result = tg_repair(system, config.channel_params, config.query_cap)
         out = redecode(batch, gen, base, result)
         results.append((d, out, shared_seconds + time.perf_counter() - t0))
     return results
@@ -149,15 +184,16 @@ def run_trial(config: SimConfig, n: int, decoder: str, trial_index: int) -> Deco
     """Run one decoder on one trial; deterministic in (master_seed, n, trial_index)."""
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
-    [(_, out, _)] = _trial_outcomes(config, n, trial_index, (decoder,))
+    gen, batch, _ = _trial_batch(config, n, trial_index)
+    [(_, out, _)] = _trial_outcomes(config, gen, batch, (decoder,))
     return out
 
 
 def _run_chunk(config: SimConfig, n: int, start: int, stop: int):
     """Per-decoder (successes, queries, seconds) sums over a trial range."""
     sums = {d: [0, 0, 0.0] for d in config.decoders}
-    for t in range(start, stop):
-        for d, out, seconds in _trial_outcomes(config, n, t, config.decoders):
+    for gen, batch in _trials(config, n, start, stop):
+        for d, out, seconds in _trial_outcomes(config, gen, batch, config.decoders):
             cell = sums[d]
             cell[0] += 1 if out.success else 0
             cell[1] += out.queries_total

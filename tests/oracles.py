@@ -184,3 +184,25 @@ def markov_error_rows(p01: float, p10: float, n: int, b: int, seed: int) -> list
             bits.append(state)
         rows.append(bits)
     return rows
+
+
+def trial_rows(k: int, n: int, b: int, p01: float, p10: float, master_seed: int, t: int, tags):
+    """(G, X, Y, R) of simulator trial t as 0/1 lists, from the scalar contract.
+
+    The trial seed is derive_seed(master_seed, n, t); P's bits come from
+    its generator child and U's from its data child, row-major; X = G·U by
+    the definition of the product; the noise is `markov_error_rows` on its
+    noise child; R lists the rows that the noise left intact.
+    """
+    tag_gen, tag_data, tag_noise = tags
+    tseed = derive_seed(master_seed, n, t)
+    gbits = SplitMix64(derive_seed(tseed, tag_gen))
+    g = [[int(i == j) for j in range(k)] for i in range(k)]
+    g += [[gbits.next_bit() for _ in range(k)] for _ in range(n - k)]
+    ubits = SplitMix64(derive_seed(tseed, tag_data))
+    u = [[ubits.next_bit() for _ in range(b)] for _ in range(k)]
+    x = [[sum(g[i][j] & u[j][c] for j in range(k)) & 1 for c in range(b)] for i in range(n)]
+    e = markov_error_rows(p01, p10, n, b, derive_seed(tseed, tag_noise))
+    y = [[xb ^ eb for xb, eb in zip(xr, er)] for xr, er in zip(x, e)]
+    r = [i for i in range(n) if not any(e[i])]
+    return g, x, y, r

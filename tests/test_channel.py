@@ -90,6 +90,13 @@ class TestApply:
         _, e = channel.apply(ChannelParams(p01=p01, p10=p10), BitMatrix.zeros(rows, cols), seed)
         assert e.to_rows() == markov_error_rows(p01, p10, rows, cols, seed)
 
+    def test_batch_takes_matrices_of_one_shape(self):
+        params = ChannelParams.from_eps_lambda(0.1, 2.0)
+        seeds = np.array([1, 2], dtype=np.uint64)
+        assert channel.apply_batch(params, [], seeds[:0]) == []
+        with pytest.raises(ValueError):
+            channel.apply_batch(params, [BitMatrix.zeros(2, 8), BitMatrix.zeros(3, 8)], seeds)
+
     def test_y_is_x_xor_e(self):
         params = ChannelParams.from_eps_lambda(0.3, 2.0)
         x = random_bit_matrix(11, 5, 20)

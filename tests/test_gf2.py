@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlcgrand import gf2
@@ -148,6 +148,47 @@ class TestSolveUnique:
             assert gf2.solve_unique(a, gf2.matmul(a, x)) is None
         else:
             assert gf2.solve_unique(a, gf2.matmul(a, x)) == x
+
+
+class TestRankSolve:
+    @settings(max_examples=300)
+    @given(
+        a=bitmatrix(8, 5, min_cols=1),
+        x_bits=st.lists(st.integers(0, 7), min_size=5, max_size=5),
+        flips=st.lists(st.integers(0, 7), max_size=8),
+    )
+    # Full rank, deficient, overdetermined, inconsistent, underdetermined.
+    @example(a=BitMatrix.identity(3), x_bits=[1, 2, 3, 0, 0], flips=[])
+    @example(a=BitMatrix.from_rows([[1, 1], [1, 1], [0, 0]]), x_bits=[1, 0, 0, 0, 0], flips=[])
+    @example(a=BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), x_bits=[1, 2, 0, 0, 0], flips=[])
+    @example(a=BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]), x_bits=[1, 2, 0, 0, 0], flips=[0, 0, 4])
+    @example(a=BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]]), x_bits=[1, 2, 3, 0, 0], flips=[1])
+    def test_one_pass_equals_rank_and_solve_unique(self, a, x_bits, flips):
+        # b = a·x with some bits flipped, so redundant rows may contradict.
+        x = BitMatrix(a.cols, 3, x_bits[: a.cols])
+        clean = gf2.matmul(a, x)
+        b = BitMatrix(a.rows, 3, [r ^ f for r, f in zip(clean.row_ints, flips + [0] * a.rows)])
+        rank = rank_by_row_space(a)
+        solvable = rank_by_row_space(BitMatrix(a.rows, a.cols + 3, [
+            ra | rb << a.cols for ra, rb in zip(a.row_ints, b.row_ints)
+        ])) == rank
+        if rank == a.cols and not solvable:
+            with pytest.raises(InconsistentSystemError):
+                gf2.rank_solve(a, b)
+            with pytest.raises(InconsistentSystemError):
+                gf2.solve_unique(a, b)
+            return
+        got_rank, got_x = gf2.rank_solve(a, b)
+        assert got_rank == rank == gf2.rank(a)
+        if rank < a.cols:
+            assert got_x is None
+        else:
+            assert gf2.matmul(a, got_x) == b
+        if a.rows < a.cols:
+            with pytest.raises(ValueError):
+                gf2.solve_unique(a, b)
+        else:
+            assert gf2.solve_unique(a, b) == got_x
 
 
 class TestMatvecCheck:

@@ -64,7 +64,7 @@ def test_random_bit_matrix_empty():
 @settings(max_examples=50)
 @given(st.integers(0, 2**64 - 1), st.integers(0, 40), st.integers(0, 70))
 def test_seed_array_blocks_match_per_seed_blocks(seed, rows, n):
-    seeds = rng.derive_seeds(seed, rows)
+    seeds = rng.derive_seeds(seed, np.arange(rows))
     assert seeds.tolist() == [rng.derive_seed(seed, i) for i in range(rows)]
     block = rng.uint64_block(seeds, n)
     assert block.shape == (rows, n)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import threading
@@ -7,9 +8,14 @@ from pathlib import Path
 import pytest
 
 from rlcgrand import simcli
+from rlcgrand.channel import ChannelParams
+from rlcgrand.rng import SplitMix64, derive_seed
 from rlcgrand.simcli import SimConfig, emit_csv, read_csv, run_experiment, run_trial
 
+from oracles import trial_rows
+
 FIXTURES = Path(__file__).parent / "fixtures"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def small_config(**overrides):
@@ -92,6 +98,108 @@ class TestRunTrial:
                 assert out.queries_total == want["queries_total"], (name, decoder)
                 assert out.rank_before == want["rank_before"], (name, decoder)
                 assert out.rank_after == want["rank_after"], (name, decoder)
+
+    def test_regen_script_reproduces_fixture(self):
+        # The script that writes the golden fixture must still trace every
+        # case to what the fixture holds; the file itself is not written.
+        spec = importlib.util.spec_from_file_location(
+            "regen_golden_fixture", SCRIPTS / "regen_golden_fixture.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        fixture = json.loads((FIXTURES / "golden_trials.json").read_text())
+        assert [name for name, *_ in script.CASES] == list(fixture)
+        for name, config, n, t in script.CASES:
+            assert json.loads(json.dumps(script.trace_case(config, n, t))) == fixture[name], name
+
+
+def channel_config(k, n, b, p01, p10, master_seed=3):
+    """A one-N config whose channel is (p01, p10) exactly.
+
+    SimConfig derives its channel from (eps, burst length); a test that
+    needs a threshold on an exact value sets the parameters directly.
+    """
+    cfg = SimConfig(k=k, n_list=(n,), b=b, trials=1, master_seed=master_seed)
+    object.__setattr__(cfg, "channel_params", ChannelParams(p01=p01, p10=p10))
+    return cfg
+
+
+def noise_draws(cfg, n, t, row, count):
+    """The first uniforms of trial t's noise substream for one row."""
+    tseed = derive_seed(cfg.master_seed, n, t)
+    stream = SplitMix64(derive_seed(derive_seed(tseed, simcli._TAG_NOISE), row))
+    return [stream.next_float() for _ in range(count)]
+
+
+def assert_span_matches_contract(cfg, n, start, stop):
+    p = cfg.channel_params
+    tags = (simcli._TAG_GEN, simcli._TAG_DATA, simcli._TAG_NOISE)
+    got = list(simcli._trials(cfg, n, start, stop))
+    assert len(got) == stop - start
+    for t, (gen, batch) in zip(range(start, stop), got):
+        g, x, y, r = trial_rows(cfg.k, n, cfg.b, p.p01, p.p10, cfg.master_seed, t, tags)
+        assert gen.matrix.to_rows() == g, t
+        assert batch.truth_x.to_rows() == x, t
+        assert batch.y.to_rows() == y, t
+        assert list(batch.r) == r, t
+        assert list(batch.rbar) == [i for i in range(n) if i not in r], t
+
+
+class TestTrials:
+    """Chunk generation against the scalar stream contract (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("b", (1, 7, 8, 63, 64, 65, 129))
+    @pytest.mark.parametrize("trials_per_pass", (1, 3, None))
+    def test_spans_match_scalar_contract(self, monkeypatch, b, trials_per_pass):
+        # A span from a nonzero start; with 1 or 3 trials per pass it
+        # crosses pass boundaries, with None it runs at the module budget.
+        k, n = 3, 7
+        if trials_per_pass is not None:
+            monkeypatch.setattr(simcli, "_BATCH_BITS", trials_per_pass * n * b)
+        cfg = channel_config(k, n, b, p01=0.08, p10=0.4)
+        assert_span_matches_contract(cfg, n, 5, 12)
+
+    def test_default_budget_span_crosses_a_pass(self):
+        k, n, b = 4, 9, 65
+        per_pass = simcli._BATCH_BITS // (n * b)
+        cfg = channel_config(k, n, b, p01=0.05, p10=0.3)
+        assert_span_matches_contract(cfg, n, per_pass - 2, per_pass + 3)
+
+    def test_one_trial(self):
+        cfg = channel_config(2, 5, 64, p01=0.1, p10=0.5)
+        assert_span_matches_contract(cfg, 5, 0, 1)
+        assert_span_matches_contract(cfg, 5, 41, 42)
+        gen, batch, params = simcli._trial_batch(cfg, 5, 41)
+        [(want_gen, want_batch)] = simcli._trials(cfg, 5, 41, 42)
+        assert (gen, batch, params) == (want_gen, want_batch, cfg.channel_params)
+
+    def test_no_parity_rows(self):
+        # N == K: P has no rows and G is the identity.
+        cfg = channel_config(4, 4, 63, p01=0.2, p10=0.5)
+        assert_span_matches_contract(cfg, 4, 2, 6)
+
+    @pytest.mark.parametrize("p01, p10", [(0.0, 1.0), (1.0, 1.0), (0.0, 0.3), (1.0, 0.3), (0.2, 1.0)])
+    def test_boundary_channels(self, p01, p10):
+        cfg = channel_config(3, 6, 65, p01=p01, p10=p10)
+        assert_span_matches_contract(cfg, 6, 1, 5)
+
+    def test_thresholds_at_exact_draws(self):
+        # p01 and p10 set to draws u = a·2^-53 that the scan compares with
+        # them; u < p01 and u >= p10 are then decided by equality, where an
+        # integer threshold off by one would flip the bit.
+        k, n, b, t = 3, 6, 65, 4
+        probe = channel_config(k, n, b, p01=0.5, p10=0.5)
+        u0, u1 = noise_draws(probe, n, t, row=2, count=2)
+        assert 0.0 < u0 and 0.0 < u1
+        # Row 2, bit 0: u0 < u0 is false, so the row starts in the good state.
+        cfg = channel_config(k, n, b, p01=u0, p10=1.0)
+        assert_span_matches_contract(cfg, n, t, t + 1)
+        # p01 = 1 puts bit 0 in the bad state; u1 >= u1 keeps bit 1 there.
+        cfg = channel_config(k, n, b, p01=1.0, p10=u1)
+        assert_span_matches_contract(cfg, n, t, t + 1)
+        [(_, batch)] = simcli._trials(cfg, n, t, t + 1)
+        e_row = batch.y.row_ints[2] ^ batch.truth_x.row_ints[2]
+        assert e_row & 0b11 == 0b11
 
 
 class TestRunExperiment:
