@@ -10,7 +10,7 @@ a test failure.  Run from the repository root:
 import json
 from pathlib import Path
 
-from rlcgrand.simcli import SimConfig, _trial_batch, run_trial
+from rlcgrand.simcli import SimConfig, _trials, run_trial
 
 CASES = [
     # Minimal configuration, pinned as the primary version-stability probe.
@@ -22,7 +22,7 @@ CASES = [
 
 
 def trace_case(config: SimConfig, n: int, trial_index: int) -> dict:
-    gen, batch, _ = _trial_batch(config, n, trial_index)
+    gen, batch = next(_trials(config, n, trial_index, trial_index + 1))
     trace = {
         "config": {
             "k": config.k, "n": n, "b": config.b, "eps": config.eps,

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf2 import BitMatrix
-from .rng import MASK64, derive_seeds, uint64_block
+from .rng import MASK64, derive_seeds, pack_rows, uint64_block, unpack_rows
 
 
 @dataclass(frozen=True)
@@ -112,17 +112,17 @@ def apply_batch(
     from_good = a < _threshold(params.p01)
     depends = from_good ^ (a >= _threshold(params.p10))
     depends[..., :1] = False
-    v, m = _pack(from_good), _pack(depends)
+    v, m = pack_rows(from_good), pack_rows(depends)
     shift = 1
     while shift < b:
         # Compose each bit's prefix map with the one ending `shift` bits earlier.
         v ^= (v << shift) & m
         m &= m << shift
         shift <<= 1
-    row_mask = (1 << b) - 1
+    errors = unpack_rows(v, len(xs) * n, b)
     out = []
     for t, x in enumerate(xs):
-        e = tuple((v >> ((t * n + i) * b)) & row_mask for i in range(n))
+        e = tuple(errors[t * n:(t + 1) * n])
         y = tuple(xr ^ er for xr, er in zip(x.row_ints, e))
         out.append((BitMatrix.trusted(n, b, y), BitMatrix.trusted(n, b, e)))
     return out
@@ -132,7 +132,3 @@ def _threshold(p: float) -> np.uint64:
     """ceil(p·2^53): a 53-bit draw a has a·2^-53 < p iff a < this."""
     return np.uint64(math.ceil(p * 2.0**53))
 
-
-def _pack(bits: np.ndarray) -> int:
-    """Row-major bits of a bool array as one int (bit r·B + j = row r, entry j)."""
-    return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")

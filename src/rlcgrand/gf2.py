@@ -122,9 +122,6 @@ class BitMatrix:
             raise ValueError("column mismatch in vstack")
         return BitMatrix.trusted(self.rows + other.rows, self.cols, self.row_ints + other.row_ints)
 
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.row_ints)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
@@ -216,14 +213,3 @@ def rank_solve(a: BitMatrix, b: BitMatrix) -> tuple[int, BitMatrix | None]:
         x_rows[(w & ((1 << n) - 1)).bit_length() - 1] = w >> n
     return r, BitMatrix.trusted(n, b.cols, tuple(x_rows))
 
-
-def solve_unique(a: BitMatrix, b: BitMatrix) -> BitMatrix | None:
-    """Solve a·X = b for the unique X when a has full column rank.
-
-    Returns None when rank(a) < a.cols.  Raises InconsistentSystemError when
-    the redundant rows of an overdetermined system contradict the pivots,
-    which signals corrupted rows being passed off as clean.
-    """
-    if a.rows < a.cols:
-        raise ValueError("system is underdetermined: fewer rows than columns")
-    return rank_solve(a, b)[1]

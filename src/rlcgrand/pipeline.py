@@ -32,10 +32,6 @@ class ReceivedBatch:
     r: tuple[int, ...]
     rbar: tuple[int, ...]
 
-    @property
-    def n_r(self) -> int:
-        return len(self.r)
-
 
 @dataclass(frozen=True)
 class DecodeOutcome:

@@ -89,8 +89,4 @@ def rlc_decode(g_rows: BitMatrix, y_rows: BitMatrix) -> BitMatrix | None:
     Raises gf2.InconsistentSystemError when the rows do not agree on a
     single U, which means a corrupted row slipped in as clean.
     """
-    if g_rows.rows != y_rows.rows:
-        raise ValueError("G rows and Y rows must pair up")
-    if g_rows.rows < g_rows.cols:
-        return None
-    return gf2.solve_unique(g_rows, y_rows)
+    return gf2.rank_solve(g_rows, y_rows)[1]

@@ -8,21 +8,23 @@ worker counts.  The contract is frozen because golden fixtures depend on it:
   ``mix64((seed + (k + 1) * GAMMA) mod 2**64)``.
 * Random bits are the top bit of each output (``z >> 63``), consumed in
   row-major order when filling matrices.
-* Uniform floats in [0, 1) are ``(z >> 11) * 2**-53``.
+* Uniform floats in [0, 1) are ``(z >> 11) * 2**-53``, as
+  ``SplitMix64.next_float`` returns them.  The channel compares the
+  integers ``z >> 11`` with thresholds instead, which is exact.
 * ``derive_seed`` folds integer labels into a seed one splitmix64
   finalizer step per label.
 
-The block functions (``uint64_block``, ``uniform_block``, ``bit_block``)
-broadcast over an array of seeds: given seeds of shape S they return
-shape S + (n,), whose row for seed s is the block of s alone.
-``derive_seeds`` makes such arrays, ``derive_seed(s, l)`` for every
-broadcast pair of seeds and labels, in one vectorized pass, and
-``random_rows`` packs many seeds' random matrices in one pass.
+The block functions (``uint64_block``, ``bit_block``) broadcast over an
+array of seeds: given seeds of shape S they return shape S + (n,), whose
+row for seed s is the block of s alone.  ``derive_seeds`` makes such
+arrays, ``derive_seed(s, l)`` for every broadcast pair of seeds and
+labels, in one vectorized pass, and ``random_rows`` packs many seeds'
+random matrices in one pass.  ``pack_rows`` and ``unpack_rows`` turn a
+0/1 array into one int and that int back into row ints; the channel
+packs its scan with the same pair.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -105,11 +107,6 @@ def uint64_block(seed: int | np.ndarray, n: int) -> np.ndarray:
     return _mix64_vec(seeds[..., np.newaxis] + ks)
 
 
-def uniform_block(seed: int | np.ndarray, n: int) -> np.ndarray:
-    """First n uniform floats in [0, 1) of the stream."""
-    return (uint64_block(seed, n) >> np.uint64(11)).astype(np.float64) * _INV53
-
-
 def bit_block(seed: int | np.ndarray, n: int) -> np.ndarray:
     """First n random bits (top bit of each output), as uint8."""
     return (uint64_block(seed, n) >> np.uint64(63)).astype(np.uint8)
@@ -124,16 +121,18 @@ def random_bit_matrix(seed: int, rows: int, cols: int) -> BitMatrix:
 def random_rows(seeds: np.ndarray, rows: int, cols: int) -> list[tuple[int, ...]]:
     """The row ints of ``random_bit_matrix(s, rows, cols)`` for each seed s
     of a 1-D array, drawn and packed in one pass."""
-    bits = bit_block(seeds, rows * cols).reshape(len(seeds), rows, cols)
-    ints = _packed_rows(bits)
+    packed = pack_rows(bit_block(seeds, rows * cols))
+    ints = unpack_rows(packed, len(seeds) * rows, cols)
     return [tuple(ints[i * rows:(i + 1) * rows]) for i in range(len(seeds))]
 
 
-def _packed_rows(bits: np.ndarray) -> list[int]:
-    """Each row along the last axis of a 0/1 array as an int (bit j = entry
-    j), for the leading axes in row-major order."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    width = packed.shape[-1]
-    data = packed.tobytes()
-    count = math.prod(bits.shape[:-1])
-    return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(count)]
+def pack_rows(bits: np.ndarray) -> int:
+    """A 0/1 (or bool) array as one int, entries in row-major order: bit i
+    is flat entry i, so rows of w entries fill bits [r·w, (r+1)·w)."""
+    return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")
+
+
+def unpack_rows(packed: int, count: int, width: int) -> list[int]:
+    """The first ``count`` rows of ``width`` bits of a ``pack_rows`` int."""
+    mask = (1 << width) - 1
+    return [(packed >> (i * width)) & mask for i in range(count)]

@@ -89,11 +89,15 @@ class SimConfig:
             raise ValueError("k must be at least 1")
         if not self.n_list or any(n < self.k for n in self.n_list):
             raise ValueError("every N must be at least K")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ValueError(f"N values must be distinct, got {self.n_list}")
         if self.b < 1:
             raise ValueError("packet length must be at least 1")
         bad = [d for d in self.decoders if d not in DECODERS]
         if bad or not self.decoders:
             raise ValueError(f"decoders must be a non-empty subset of {DECODERS}, got {self.decoders}")
+        if len(set(self.decoders)) != len(self.decoders):
+            raise ValueError(f"decoders must be distinct, got {self.decoders}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.query_cap < 1:
@@ -148,12 +152,6 @@ def _trials(config: SimConfig, n: int, start: int, stop: int):
             yield gen, classify(y, x)
 
 
-def _trial_batch(config: SimConfig, n: int, trial_index: int):
-    """Generate the (G, batch, params) shared by all decoders of one trial."""
-    gen, batch = next(_trials(config, n, trial_index, trial_index + 1))
-    return gen, batch, config.channel_params
-
-
 def _trial_outcomes(config: SimConfig, gen, batch, decoders: tuple[str, ...]):
     """Run ``decoders`` on one trial: a list of (decoder, outcome, seconds).
 
@@ -184,7 +182,7 @@ def run_trial(config: SimConfig, n: int, decoder: str, trial_index: int) -> Deco
     """Run one decoder on one trial; deterministic in (master_seed, n, trial_index)."""
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}")
-    gen, batch, _ = _trial_batch(config, n, trial_index)
+    gen, batch = next(_trials(config, n, trial_index, trial_index + 1))
     [(_, out, _)] = _trial_outcomes(config, gen, batch, (decoder,))
     return out
 
@@ -287,32 +285,6 @@ def emit_csv(records: list[SimRecord], out_path) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def read_csv(path) -> list[SimRecord]:
-    """Parse a file produced by emit_csv back into records."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header in {path}")
-    records = []
-    for line in lines[1:]:
-        f = line.split(",")
-        records.append(
-            SimRecord(
-                decoder=f[0],
-                k=int(f[1]),
-                n=int(f[2]),
-                b=int(f[3]),
-                eps=float(f[4]),
-                burst_len=float(f[5]),
-                trials=int(f[6]),
-                successes=int(f[7]),
-                decoding_probability=float(f[8]),
-                mean_queries=float(f[9]),
-                wall_seconds=float(f[10]),
-            )
-        )
-    return records
 
 
 def _read_config_file(path: str) -> dict:

@@ -68,10 +68,6 @@ class ColumnPrior:
     def from_bits(cls, bits: Sequence[int]) -> "ColumnPrior":
         return cls(prev=tuple(b & 1 for b in bits))
 
-    @classmethod
-    def all_zero(cls, length: int) -> "ColumnPrior":
-        return cls.from_bits((0,) * length)
-
     @property
     def length(self) -> int:
         return len(self.prev)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from rlcgrand import gf2
 from rlcgrand.gf2 import BitMatrix, InconsistentSystemError
+from rlcgrand.rlc import rlc_decode
 
 from oracles import matvec_check, rank_by_row_space
 
@@ -122,32 +123,40 @@ class TestRank:
 
 
 class TestSolveUnique:
+    """The unique solve of a full-column-rank system: ``rank_solve``'s X,
+    and ``rlc_decode`` on top of it."""
+
     def test_identity_system(self):
         b = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-        assert gf2.solve_unique(BitMatrix.identity(3), b) == b
+        assert gf2.rank_solve(BitMatrix.identity(3), b) == (3, b)
+        assert rlc_decode(BitMatrix.identity(3), b) == b
 
     def test_forward_substitution_example(self):
         a = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-        assert gf2.solve_unique(a, a) == BitMatrix.identity(2)
+        assert gf2.rank_solve(a, a) == (2, BitMatrix.identity(2))
+        assert rlc_decode(a, a) == BitMatrix.identity(2)
 
     def test_rank_deficient(self):
         a = BitMatrix.from_rows([[1, 1], [1, 1]])
-        assert gf2.solve_unique(a, BitMatrix.zeros(2, 1)) is None
+        assert gf2.rank_solve(a, BitMatrix.zeros(2, 1)) == (1, None)
+        assert rlc_decode(a, BitMatrix.zeros(2, 1)) is None
 
     def test_inconsistent_redundant_rows(self):
         a = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
         bad = BitMatrix.from_rows([[1], [1], [1]])  # third row should be 1^1 = 0
         with pytest.raises(InconsistentSystemError):
-            gf2.solve_unique(a, bad)
+            gf2.rank_solve(a, bad)
+        with pytest.raises(InconsistentSystemError):
+            rlc_decode(a, bad)
 
     @settings(max_examples=100)
     @given(bitmatrix(6, 3, min_rows=3, min_cols=1), bitmatrix(3, 4, min_rows=3, min_cols=1))
     def test_round_trip(self, a, x):
         x = BitMatrix(a.cols, x.cols, x.row_ints[: a.cols] + (0,) * max(0, a.cols - x.rows))
-        if gf2.rank(a) < a.cols:
-            assert gf2.solve_unique(a, gf2.matmul(a, x)) is None
-        else:
-            assert gf2.solve_unique(a, gf2.matmul(a, x)) == x
+        rank, got = gf2.rank_solve(a, gf2.matmul(a, x))
+        assert rank == gf2.rank(a)
+        assert got == (None if rank < a.cols else x)
+        assert rlc_decode(a, gf2.matmul(a, x)) == got
 
 
 class TestRankSolve:
@@ -175,8 +184,6 @@ class TestRankSolve:
         if rank == a.cols and not solvable:
             with pytest.raises(InconsistentSystemError):
                 gf2.rank_solve(a, b)
-            with pytest.raises(InconsistentSystemError):
-                gf2.solve_unique(a, b)
             return
         got_rank, got_x = gf2.rank_solve(a, b)
         assert got_rank == rank == gf2.rank(a)
@@ -184,11 +191,6 @@ class TestRankSolve:
             assert got_x is None
         else:
             assert gf2.matmul(a, got_x) == b
-        if a.rows < a.cols:
-            with pytest.raises(ValueError):
-                gf2.solve_unique(a, b)
-        else:
-            assert gf2.solve_unique(a, b) == got_x
 
 
 class TestMatvecCheck:

@@ -40,7 +40,7 @@ class TestClassify:
         e = BitMatrix.from_rows([[0] * 6, [0] * 6, [0] * 6, [0, 0, 1, 0, 0, 0]])
         batch = pipeline.classify(gf2.add(x, e), x)
         assert batch.rbar == (3,)
-        assert batch.n_r == 3
+        assert len(batch.r) == 3
 
     @settings(max_examples=100)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))

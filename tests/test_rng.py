@@ -25,9 +25,11 @@ def test_bits_and_floats_derive_from_the_same_stream():
     stream = rng.SplitMix64(seed)
     outs = [stream.next_uint64() for _ in range(32)]
     assert rng.bit_block(seed, 32).tolist() == [z >> 63 for z in outs]
-    floats = rng.uniform_block(seed, 32)
-    assert floats.tolist() == [(z >> 11) * 2.0**-53 for z in outs]
-    assert np.all((floats >= 0.0) & (floats < 1.0))
+    stream = rng.SplitMix64(seed)
+    floats = [stream.next_float() for _ in range(32)]
+    block = rng.uint64_block(seed, 32)
+    assert floats == ((block >> np.uint64(11)) * 2.0**-53).tolist()
+    assert all(0.0 <= f < 1.0 for f in floats)
 
 
 def test_derive_seed_is_order_sensitive():
@@ -70,5 +72,17 @@ def test_seed_array_blocks_match_per_seed_blocks(seed, rows, n):
     assert block.shape == (rows, n)
     for i in range(rows):
         assert block[i].tolist() == rng.uint64_block(rng.derive_seed(seed, i), n).tolist()
-    assert np.array_equal(rng.uniform_block(seeds, n), (block >> np.uint64(11)) * 2.0**-53)
+    for i, s in enumerate(seeds.tolist()):
+        stream = rng.SplitMix64(s)
+        floats = [stream.next_float() for _ in range(n)]
+        assert floats == ((block[i] >> np.uint64(11)) * 2.0**-53).tolist()
     assert np.array_equal(rng.bit_block(seeds, n), block >> np.uint64(63))
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 12), st.integers(0, 70))
+def test_pack_and_unpack_rows_round_trip(seed, count, width):
+    bits = rng.bit_block(seed, count * width).reshape(count, width)
+    rows = [sum(int(b) << j for j, b in enumerate(row)) for row in bits]
+    assert rng.unpack_rows(rng.pack_rows(bits), count, width) == rows
+    assert rng.unpack_rows(rng.pack_rows(bits.astype(bool)), count, width) == rows

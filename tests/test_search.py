@@ -1,16 +1,19 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlcgrand import channel, gf2
 from rlcgrand.channel import ChannelParams
+from rlcgrand.gf2 import BitMatrix
 from rlcgrand.pipeline import classify
 from rlcgrand.rlc import encode, make_generator, parity_check
 from rlcgrand.rng import random_bit_matrix
 from rlcgrand.search import OrderedSearch, SearchCore, lex_rank
+from rlcgrand.syndrome_decoder import _WeightOrder
+from rlcgrand.tgrand import _LikelihoodOrder
 
-from oracles import first_hit, syndrome_of_mask, weight_order
+from oracles import first_hit, likelihood_order, syndrome_of_mask, weight_order
 
 seed = st.integers(0, 2**32 - 1)
 
@@ -77,6 +80,38 @@ class CountingWeightOrder:
         return self.stream.index(mask) + 1
 
 
+class Counting:
+    """A decoder's real candidate order, counting the work the core asks of it."""
+
+    def __init__(self, order):
+        self.order = order
+        self.drawn = 0
+        self.evaluated = 0
+
+    def masks(self):
+        for mask in self.order.masks():
+            self.drawn += 1
+            yield mask
+
+    def block(self, mask):
+        self.evaluated += 1
+        return self.order.block(mask)
+
+    def position(self, mask):
+        return self.order.position(mask)
+
+
+def assert_within_bound(core, ht, order, stream, targets, query_cap):
+    """Every answer equals the first hit of `stream`; at most min(2^d, cap)
+    candidates are drawn in all and at most 2^d blocks evaluated per target."""
+    search = OrderedSearch(core, order, query_cap)
+    for target in targets:
+        before = order.evaluated
+        assert search.find(target) == first_hit(stream, ht, target, query_cap)
+        assert order.evaluated - before <= 1 << core.dim
+    assert order.drawn <= min(1 << core.dim, query_cap)
+
+
 class TestWorkBound:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 8), seed, st.integers(1, 300))
@@ -96,3 +131,38 @@ class TestWorkBound:
                 assert search.find(target) == expected
                 assert order.evaluated - before <= 1 << core.dim
             assert order.drawn <= min(1 << core.dim, query_cap)
+
+    def test_real_orders_at_coset_dimension_14(self):
+        # 16 unknowns, 2 independent checks: d = 14.  Every target, with a
+        # cap that cuts the scan short and with the default cap.
+        ht = random_bit_matrix(1, 2, 16)
+        core = SearchCore(ht.col_ints())
+        assert core.dim == 14
+        params = ChannelParams(p01=0.1, p10=0.3)
+        prior = 0b0000111100110000
+        orders = [
+            (lambda: _WeightOrder(16), list(weight_order(16))),
+            (lambda: _LikelihoodOrder(prior, 16, params), list(likelihood_order(prior, 16, params))),
+        ]
+        for query_cap in (5, 1 << 20):
+            for make, stream in orders:
+                assert_within_bound(core, ht, Counting(make()), stream, range(4), query_cap)
+
+    def test_rank_step_at_coset_dimension_14(self):
+        # 20 unknowns in 6 groups; every unknown of group g hits check g
+        # alone, so d = 14.  The all-ones target needs one unknown from
+        # every group, weight 6, which lies past position 2^14 of the
+        # weight order: the scan misses and the rank step runs.  At the
+        # all-zero prior with p01 < 1/2 the likelihood order is the weight
+        # order, so both decoders' orders answer as the weight order.
+        groups = (4, 4, 3, 3, 3, 3)
+        cols = tuple(1 << g for g, size in enumerate(groups) for _ in range(size))
+        ht = BitMatrix.trusted(20, 6, cols).transpose()
+        core = SearchCore(cols)
+        assert core.dim == 14
+        stream = list(islice(weight_order(20), 1 << 15))  # holds every first hit here
+        params = ChannelParams(p01=0.1, p10=0.3)
+        for order in (Counting(_WeightOrder(20)), Counting(_LikelihoodOrder(0, 20, params))):
+            assert_within_bound(core, ht, order, stream, (0, 0b011111, 0b111111), 1 << 20)
+            assert order.drawn == 1 << 14
+            assert order.evaluated == 1 << 14

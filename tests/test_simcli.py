@@ -10,12 +10,38 @@ import pytest
 from rlcgrand import simcli
 from rlcgrand.channel import ChannelParams
 from rlcgrand.rng import SplitMix64, derive_seed
-from rlcgrand.simcli import SimConfig, emit_csv, read_csv, run_experiment, run_trial
+from rlcgrand.simcli import CSV_HEADER, SimConfig, SimRecord, emit_csv, run_experiment, run_trial
 
 from oracles import trial_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def read_csv(path) -> list[SimRecord]:
+    """Parse a file produced by emit_csv back into records."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header in {path}")
+    records = []
+    for line in lines[1:]:
+        f = line.split(",")
+        records.append(
+            SimRecord(
+                decoder=f[0],
+                k=int(f[1]),
+                n=int(f[2]),
+                b=int(f[3]),
+                eps=float(f[4]),
+                burst_len=float(f[5]),
+                trials=int(f[6]),
+                successes=int(f[7]),
+                decoding_probability=float(f[8]),
+                mean_queries=float(f[9]),
+                wall_seconds=float(f[10]),
+            )
+        )
+    return records
 
 
 def small_config(**overrides):
@@ -48,6 +74,8 @@ class TestConfig:
             dict(query_cap=0),
             dict(workers=0),
             dict(eps=0.9, burst_len=1.0),  # each valid alone, but p01 = 9
+            dict(n_list=(6, 6)),
+            dict(decoders=("sd", "sd")),
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -84,7 +112,7 @@ class TestRunTrial:
                 burst_len=c["burst_len"], trials=c["trial_index"] + 1,
                 master_seed=c["master_seed"],
             )
-            gen, batch, _ = simcli._trial_batch(cfg, c["n"], c["trial_index"])
+            gen, batch = next(simcli._trials(cfg, c["n"], c["trial_index"], c["trial_index"] + 1))
             assert gen.matrix.to_rows() == case["generator"], name
             assert batch.truth_x.to_rows() == case["truth_x"], name
             assert batch.y.to_rows() == case["received_y"], name
@@ -169,9 +197,6 @@ class TestTrials:
         cfg = channel_config(2, 5, 64, p01=0.1, p10=0.5)
         assert_span_matches_contract(cfg, 5, 0, 1)
         assert_span_matches_contract(cfg, 5, 41, 42)
-        gen, batch, params = simcli._trial_batch(cfg, 5, 41)
-        [(want_gen, want_batch)] = simcli._trials(cfg, 5, 41, 42)
-        assert (gen, batch, params) == (want_gen, want_batch, cfg.channel_params)
 
     def test_no_parity_rows(self):
         # N == K: P has no rows and G is the identity.
@@ -367,6 +392,16 @@ class TestCli:
         assert simcli.main(["--k", "0", "--out", "/dev/null"]) == 2
         assert simcli.main(["--n-min", "8", "--n-max", "5"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_repeated_decoder_exits_nonzero_without_output(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = simcli.main([
+            "--k", "4", "--n-min", "6", "--n-max", "6", "--b", "16", "--trials", "50",
+            "--decoders", "sd,sd", "--out", str(out),
+        ])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_unwritable_out_path_exits_nonzero(self, tmp_path, capsys):
         code = simcli.main([

@@ -72,7 +72,7 @@ class TestSortedClasses:
 
 class TestEnumeration:
     def test_all_zero_prior_starts_at_zero(self):
-        prior = ColumnPrior.all_zero(4)
+        prior = ColumnPrior.from_bits((0,) * 4)
         params = ChannelParams(p01=0.3, p10=0.6)
         first = next(tgrand.enumerate_candidates(prior, params))
         assert first == (0, 0, 0, 0)
@@ -142,7 +142,7 @@ class TestEnumeration:
 class TestSolveColumn:
     def test_zero_syndrome_zero_prior(self):
         ht = BitMatrix.from_rows([[1, 0], [0, 1]])
-        prior = ColumnPrior.all_zero(2)
+        prior = ColumnPrior.from_bits((0,) * 2)
         params = ChannelParams(p01=0.1, p10=0.5)
         assert tgrand.tg_solve_column(ht, [0, 0], prior, params) == (0, 0)
 
@@ -156,7 +156,7 @@ class TestSolveColumn:
 
     def test_cap_exceeded(self):
         ht = BitMatrix.from_rows([[1, 0], [0, 1]])
-        prior = ColumnPrior.all_zero(2)
+        prior = ColumnPrior.from_bits((0,) * 2)
         params = ChannelParams(p01=0.1, p10=0.5)
         assert tgrand.tg_solve_column(ht, [1, 1], prior, params, query_cap=3) is None
 
