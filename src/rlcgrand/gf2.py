@@ -2,8 +2,13 @@
 
 Matrices are immutable; each row is stored as a Python int bitmask with
 bit ``j`` holding column ``j``.  Row XOR is then a single integer XOR,
-which keeps Gaussian elimination and matrix products cheap at the sizes
-used by the packet simulator (tens of rows and columns).
+which keeps elimination and matrix products cheap at the sizes used by
+the packet simulator (tens of rows and columns).
+
+`Echelon` is the one elimination routine.  It takes the rows of a
+system one at a time, so a receiver reduces its clean rows once and
+later adds only the rows a repair promotes; `rank` and `rank_solve`
+feed it a whole matrix.
 """
 
 from __future__ import annotations
@@ -88,11 +93,6 @@ class BitMatrix:
             ints.append(v)
         return cls(len(lists), ncols, ints)
 
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) out of range for {self.rows}x{self.cols}")
-        return (self.row_ints[i] >> j) & 1
-
     def row_bits(self, i: int) -> tuple[int, ...]:
         r = self.row_ints[i]
         return tuple((r >> j) & 1 for j in range(self.cols))
@@ -159,34 +159,88 @@ def add(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix.trusted(a.rows, a.cols, tuple(x ^ y for x, y in zip(a.row_ints, b.row_ints)))
 
 
-def _eliminate(work: list[int], cols: int) -> int:
-    """Gauss-Jordan elimination in place on the low ``cols`` bits of ``work``.
+class Echelon:
+    """Row echelon form of an augmented GF(2) system [g | y], built one row
+    at a time.
 
-    Returns the rank r.  Afterwards rows [0, r) are the pivot rows, each the
-    only row with a bit at its pivot column, and rows [r, len) have no bit
-    below ``cols``.  Bits at and above ``cols`` (an augmented right-hand
-    side) ride along with their rows.
+    ``pivots[j]`` is the kept row whose lowest coefficient bit is column
+    j, stored as ``g | y << cols``, or 0 when column j has no pivot yet.
+    Each kept row has no bit at any lower pivot column, so a unit row
+    (a clean systematic packet) enters as a pivot of its own at O(1)
+    cost.  A row that reduces to zero coefficients but a nonzero right
+    side sets ``inconsistent``: the system then has no solution,
+    whatever rows come after it.
     """
-    r = 0
-    for col in range(cols):
-        bit = 1 << col
-        pivot = next((i for i in range(r, len(work)) if work[i] & bit), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        row = work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & bit:
-                work[i] ^= row
-        r += 1
-        if r == len(work):
-            break
-    return r
+
+    __slots__ = ("cols", "rhs_cols", "rank", "inconsistent", "pivots")
+
+    def __init__(self, cols: int, rhs_cols: int = 0):
+        self.cols = cols
+        self.rhs_cols = rhs_cols
+        self.rank = 0
+        self.inconsistent = False
+        self.pivots = [0] * cols
+
+    def copy(self) -> "Echelon":
+        """An independent echelon of the same rows; adding to it leaves this one as it is."""
+        out = object.__new__(Echelon)
+        out.cols = self.cols
+        out.rhs_cols = self.rhs_cols
+        out.rank = self.rank
+        out.inconsistent = self.inconsistent
+        out.pivots = self.pivots[:]
+        return out
+
+    def add(self, g: int, y: int = 0) -> None:
+        """Reduce the row (g, y) against the pivots; keep it as a new pivot,
+        or record a contradiction if only its right side survives."""
+        pivots = self.pivots
+        mask = (1 << self.cols) - 1
+        w = g | (y << self.cols)
+        low = w & mask
+        while low:
+            j = (low & -low).bit_length() - 1
+            p = pivots[j]
+            if not p:
+                pivots[j] = w
+                self.rank += 1
+                return
+            w ^= p
+            low = w & mask
+        if w:
+            self.inconsistent = True
+
+    def solve(self) -> BitMatrix | None:
+        """The unique X (cols × rhs_cols) with g·X = y for every added row.
+
+        None below full column rank.  At full column rank, raises
+        InconsistentSystemError when the rows contradict each other.
+        """
+        n = self.cols
+        if self.rank < n:
+            return None
+        if self.inconsistent:
+            raise InconsistentSystemError("redundant rows are inconsistent with the solution")
+        # Back-substitution: pivot j's other coefficient bits are all above j.
+        x = [0] * n
+        for j in range(n - 1, -1, -1):
+            w = self.pivots[j]
+            v = w >> n
+            rest = (w ^ (1 << j)) & ((1 << n) - 1)
+            while rest:
+                low = rest & -rest
+                v ^= x[low.bit_length() - 1]
+                rest ^= low
+            x[j] = v
+        return BitMatrix.trusted(n, self.rhs_cols, tuple(x))
 
 
 def rank(a: BitMatrix) -> int:
     """Rank over GF(2) by row elimination; 0 for empty or all-zero input."""
-    return _eliminate(list(a.row_ints), a.cols)
+    ech = Echelon(a.cols)
+    for r in a.row_ints:
+        ech.add(r)
+    return ech.rank
 
 
 def rank_solve(a: BitMatrix, b: BitMatrix) -> tuple[int, BitMatrix | None]:
@@ -199,17 +253,7 @@ def rank_solve(a: BitMatrix, b: BitMatrix) -> tuple[int, BitMatrix | None]:
     """
     if b.rows != a.rows:
         raise ValueError("right-hand side row count does not match")
-    n = a.cols
-    # Augmented rows: low n bits from `a`, the rest from `b` shifted past them.
-    work = [ra | (rb << n) for ra, rb in zip(a.row_ints, b.row_ints)]
-    r = _eliminate(work, n)
-    if r < n:
-        return r, None
-    if any(work[r:]):
-        raise InconsistentSystemError("redundant rows are inconsistent with the solution")
-    # Pivot row i has its single low bit at its pivot column.
-    x_rows = [0] * n
-    for w in work[:r]:
-        x_rows[(w & ((1 << n) - 1)).bit_length() - 1] = w >> n
-    return r, BitMatrix.trusted(n, b.cols, tuple(x_rows))
-
+    ech = Echelon(a.cols, b.cols)
+    for ra, rb in zip(a.row_ints, b.row_ints):
+        ech.add(ra, rb)
+    return ech.rank, ech.solve()

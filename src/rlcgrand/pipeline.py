@@ -6,15 +6,18 @@ CRC that consumes no payload.  Repairs are likewise verified against
 the truth before their rows are promoted to the clean set, so a
 successful decode always returns the true source packets.
 
-A receiver run is one plain attempt (`attempt_rlc`).  When
+A receiver run is one plain attempt (`attempt_rlc`), which reduces the
+clean rows into a `gf2.Echelon` carried on its outcome.  When
 `needs_repair` holds, `syndrome_system` builds the repair system once, a
 decoder (`sd_repair` or `tg_repair`) estimates the corrupted rows from
-it, and `redecode` verifies, promotes and decodes again.
+it, and `redecode` verifies them and adds only the promoted rows to a
+copy of the attempt's echelon, so no decode eliminates the clean rows
+twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf2
 from .gf2 import BitMatrix
@@ -43,6 +46,8 @@ class DecodeOutcome:
     queries_total: int
     rank_before: int
     rank_after: int
+    # The plain attempt's reduced clean rows, which `redecode` extends.
+    echelon: gf2.Echelon | None = field(default=None, compare=False, repr=False)
 
 
 def classify(y: BitMatrix, truth_x: BitMatrix) -> ReceivedBatch:
@@ -55,10 +60,24 @@ def classify(y: BitMatrix, truth_x: BitMatrix) -> ReceivedBatch:
 
 
 def attempt_rlc(batch: ReceivedBatch, gen: Generator) -> DecodeOutcome:
-    """Decode from the clean rows alone; succeeds iff they span rank K."""
-    rk, u_hat = gf2.rank_solve(gen.matrix.take_rows(batch.r), batch.y.take_rows(batch.r))
+    """Decode from the clean rows alone; succeeds iff they span rank K.
+
+    The clean rows enter the echelon in index order, so clean systematic
+    rows become unit pivots without elimination.
+    """
+    ech = gf2.Echelon(gen.k, batch.y.cols)
+    g, y = gen.matrix.row_ints, batch.y.row_ints
+    for i in batch.r:
+        ech.add(g[i], y[i])
+    u_hat = ech.solve()
     return DecodeOutcome(
-        success=u_hat is not None, u_hat=u_hat, nu=0, queries_total=0, rank_before=rk, rank_after=rk
+        success=u_hat is not None,
+        u_hat=u_hat,
+        nu=0,
+        queries_total=0,
+        rank_before=ech.rank,
+        rank_after=ech.rank,
+        echelon=ech,
     )
 
 
@@ -82,27 +101,39 @@ def redecode(
 ) -> DecodeOutcome:
     """Second decode attempt after one repair pass over the corrupted rows.
 
-    Repaired rows that verify against the truth are promoted to the clean
-    set; the enlarged system is decoded once.  ``base`` is the plain
-    attempt, whose rank the outcome reports as ``rank_before``.
+    ``base`` must be the outcome of `attempt_rlc` on the same batch: its
+    echelon already holds the reduced clean rows, and the outcome reports
+    its rank as ``rank_before``.  Repaired rows that verify against the
+    truth are promoted: a copy of that echelon takes them, and the system
+    is solved once.  ``base`` itself is left as it was.  ``result.e_hat``
+    must have one row per corrupted row and the packet length as columns.
+    An outcome without an echelon (built by hand, or returned by
+    `redecode`) raises `ValueError`.
     """
-    y_rbar = batch.y.take_rows(batch.rbar)
-    x_hat_rbar = gf2.add(y_rbar, result.e_hat)
-    verified = [
-        idx
-        for idx, row in enumerate(batch.rbar)
-        if x_hat_rbar.row_ints[idx] == batch.truth_x.row_ints[row]
+    if base.echelon is None:
+        raise ValueError("base must be the outcome of attempt_rlc")
+    e_hat = result.e_hat
+    if (e_hat.rows, e_hat.cols) != (len(batch.rbar), batch.y.cols):
+        raise ValueError(
+            f"e_hat is {e_hat.rows}x{e_hat.cols}, expected {len(batch.rbar)}x{batch.y.cols}"
+        )
+    g, y, truth = gen.matrix.row_ints, batch.y.row_ints, batch.truth_x.row_ints
+    promoted = [
+        (row, x_hat)
+        for row, e in zip(batch.rbar, e_hat.row_ints)
+        if (x_hat := y[row] ^ e) == truth[row]
     ]
-    promoted = [batch.rbar[idx] for idx in verified]
-    g_new = gen.matrix.take_rows(list(batch.r) + promoted)
-    y_new = batch.y.take_rows(batch.r).vstack(x_hat_rbar.take_rows(verified))
-    rank_after, u_hat = gf2.rank_solve(g_new, y_new)
+    ech = base.echelon
+    if promoted:
+        ech = ech.copy()
+        for row, x_hat in promoted:
+            ech.add(g[row], x_hat)
+    u_hat = ech.solve()
     return DecodeOutcome(
         success=u_hat is not None,
         u_hat=u_hat,
         nu=len(promoted),
         queries_total=result.queries_total,
         rank_before=base.rank_before,
-        rank_after=rank_after,
+        rank_after=ech.rank,
     )
-

@@ -17,8 +17,10 @@ H_R̄ᵀ, eliminated once), and both repairs run on it.  A decoder's
 timed once and charged in full to every decoder, the syndrome system's
 build is timed once and charged in full to each repairing decoder, and
 each repairing decoder adds its own repair and re-decode, so the three
-columns stay comparable.  Trial generation (data, generator, channel) is
-charged to none.
+columns stay comparable.  The attempt's share includes reducing the
+clean rows once; each re-decode extends a copy of that reduction with
+only its own promoted rows, and that work is in its decoder's share.
+Trial generation (data, generator, channel) is charged to none.
 
 Trials run in chunks of _CHUNK per N, serially or on a process pool.  A
 chunk generates its trials in passes of at most _BATCH_BITS channel bits

@@ -10,7 +10,9 @@ from functools import cmp_to_key
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from rlcgrand import gf2
 from rlcgrand.gf2 import BitMatrix
+from rlcgrand.pipeline import DecodeOutcome
 from rlcgrand.rng import SplitMix64, derive_seed
 from rlcgrand.tgrand import sorted_classes
 
@@ -21,6 +23,30 @@ def rank_by_row_space(m: BitMatrix) -> int:
     for r in m.row_ints:
         span |= {v ^ r for v in span}
     return len(span).bit_length() - 1
+
+
+def redecode_by_stacking(batch, gen, base: DecodeOutcome, result) -> DecodeOutcome:
+    """The re-decode from scratch: stack the clean rows with the repaired
+    rows that verify against the truth, and solve the whole system."""
+    y_rbar = batch.y.take_rows(batch.rbar)
+    x_hat_rbar = gf2.add(y_rbar, result.e_hat)
+    verified = [
+        idx
+        for idx, row in enumerate(batch.rbar)
+        if x_hat_rbar.row_ints[idx] == batch.truth_x.row_ints[row]
+    ]
+    promoted = [batch.rbar[idx] for idx in verified]
+    g_new = gen.matrix.take_rows(list(batch.r) + promoted)
+    y_new = batch.y.take_rows(batch.r).vstack(x_hat_rbar.take_rows(verified))
+    rank_after, u_hat = gf2.rank_solve(g_new, y_new)
+    return DecodeOutcome(
+        success=u_hat is not None,
+        u_hat=u_hat,
+        nu=len(promoted),
+        queries_total=result.queries_total,
+        rank_before=base.rank_before,
+        rank_after=rank_after,
+    )
 
 
 def syndrome_of_mask(ht: BitMatrix, mask: int) -> int:

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlcgrand import gf2
+from rlcgrand import gf2, rlc
 from rlcgrand.gf2 import BitMatrix, InconsistentSystemError
 from rlcgrand.rlc import rlc_decode
+from rlcgrand.rng import random_bit_matrix
 
 from oracles import matvec_check, rank_by_row_space
 
@@ -33,7 +34,7 @@ class TestConstruction:
     def test_from_rows_round_trip(self):
         m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
         assert m.to_rows() == [[1, 0, 1], [0, 1, 1]]
-        assert m.get(0, 2) == 1 and m.get(1, 0) == 0
+        assert m.row_bits(0)[2] == 1 and m.row_bits(1)[0] == 0
 
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
@@ -117,7 +118,7 @@ class TestRank:
         permuted = BitMatrix(
             m.rows,
             m.cols,
-            [sum(m.get(i, cols[j]) << j for j in range(m.cols)) for i in rows],
+            [sum(m.row_bits(i)[cols[j]] << j for j in range(m.cols)) for i in rows],
         )
         assert gf2.rank(permuted) == gf2.rank(m)
 
@@ -191,6 +192,109 @@ class TestRankSolve:
             assert got_x is None
         else:
             assert gf2.matmul(a, got_x) == b
+
+
+def _echelon(a: BitMatrix, b: BitMatrix, order) -> gf2.Echelon:
+    ech = gf2.Echelon(a.cols, b.cols)
+    for i in order:
+        ech.add(a.row_ints[i], b.row_ints[i])
+    return ech
+
+
+def _state(ech: gf2.Echelon):
+    return ech.cols, ech.rhs_cols, ech.rank, ech.inconsistent, list(ech.pivots)
+
+
+def _expect_same_as_rank_solve(ech: gf2.Echelon, a: BitMatrix, b: BitMatrix):
+    """The echelon of a's rows, in any order, agrees with the row-space
+    oracle and with ``rank_solve`` on the stacked rows, raise for raise."""
+    assert ech.rank == rank_by_row_space(a)
+    try:
+        expected = gf2.rank_solve(a, b)
+    except InconsistentSystemError:
+        with pytest.raises(InconsistentSystemError):
+            ech.solve()
+        return
+    assert (ech.rank, ech.solve()) == expected
+
+
+class TestEchelon:
+    @settings(max_examples=300)
+    @given(
+        a=bitmatrix(8, 5, min_cols=0),
+        x_bits=st.lists(st.integers(0, 7), min_size=5, max_size=5),
+        flips=st.lists(st.integers(0, 7), max_size=8),
+        data=st.data(),
+    )
+    def test_matches_oracles_in_any_row_order(self, a, x_bits, flips, data):
+        x = BitMatrix(a.cols, 3, x_bits[: a.cols])
+        clean = gf2.matmul(a, x)
+        b = BitMatrix(a.rows, 3, [r ^ f for r, f in zip(clean.row_ints, flips + [0] * a.rows)])
+        order = data.draw(st.permutations(range(a.rows)))
+        ech = _echelon(a, b, order)
+        _expect_same_as_rank_solve(ech, a, b)
+        solvable = rank_by_row_space(BitMatrix(a.rows, a.cols + 3, [
+            ra | rb << a.cols for ra, rb in zip(a.row_ints, b.row_ints)
+        ])) == ech.rank
+        assert ech.inconsistent == (not solvable)
+        if ech.rank == a.cols and solvable:
+            assert gf2.matmul(a, ech.solve()) == b
+
+        # A copy takes further rows; its source keeps its own.
+        split = data.draw(st.integers(0, a.rows))
+        head = order[:split]
+        source = _echelon(a, b, head)
+        before = _state(source)
+        copied = source.copy()
+        for i in order[split:]:
+            copied.add(a.row_ints[i], b.row_ints[i])
+        assert _state(source) == before
+        assert _state(copied) == _state(ech)
+        _expect_same_as_rank_solve(source, a.take_rows(head), b.take_rows(head))
+
+    @pytest.mark.parametrize(
+        "k, n, rows",
+        [
+            (4, 8, range(8)),  # all rows clean
+            (4, 12, range(4, 12)),  # no systematic row clean
+            (5, 5, range(5)),  # N == K
+            (3, 5, (4, 1, 3, 2)),  # parity rows before systematic ones
+            (4, 8, (0, 5, 6)),  # fewer rows than columns
+            (4, 8, ()),  # no rows at all
+        ],
+    )
+    def test_receiver_shaped_systems(self, k, n, rows):
+        gen = rlc.make_generator(k, n, 17)
+        u = random_bit_matrix(3, k, 6)
+        a = gen.matrix.take_rows(rows)
+        b = rlc.encode(gen, u).take_rows(rows)
+        ech = _echelon(a, b, range(a.rows))
+        _expect_same_as_rank_solve(ech, a, b)
+        assert ech.solve() == (u if ech.rank == k else None)
+
+    def test_systematic_rows_enter_as_unit_pivots(self):
+        ech = gf2.Echelon(4, 2)
+        for i in range(4):
+            ech.add(1 << i, 3)
+        assert ech.pivots == [1 | 3 << 4, 2 | 3 << 4, 4 | 3 << 4, 8 | 3 << 4]
+
+    def test_contradiction_below_full_rank_raises_once_lifted(self):
+        # Rows 0-2 have rank 2 and row 2 contradicts rows 0 and 1; row 3
+        # then lifts the system to full rank.
+        a = BitMatrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]])
+        b = BitMatrix.from_rows([[1], [0], [0], [1]])
+        ech = _echelon(a, b, range(3))
+        assert ech.rank == 2 and ech.inconsistent
+        assert ech.solve() is None
+        assert gf2.rank_solve(a.take_rows(range(3)), b.take_rows(range(3))) == (2, None)
+        lifted = ech.copy()
+        lifted.add(a.row_ints[3], b.row_ints[3])
+        assert lifted.rank == 3
+        with pytest.raises(InconsistentSystemError):
+            lifted.solve()
+        with pytest.raises(InconsistentSystemError):
+            gf2.rank_solve(a, b)
+        assert ech.solve() is None
 
 
 class TestMatvecCheck:

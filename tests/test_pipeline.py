@@ -6,6 +6,9 @@ from rlcgrand import channel, gf2, pipeline, rlc, syndrome_decoder as sd, tgrand
 from rlcgrand.channel import ChannelParams
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import random_bit_matrix
+from rlcgrand.search import RepairResult
+
+from oracles import redecode_by_stacking
 
 
 def _make_batch(g, u, e):
@@ -106,6 +109,12 @@ class TestRepairAndRedecode:
         assert out.nu == 3
         assert out.rank_before == 2 and out.rank_after == 3
         assert out.queries_total > 0
+        # The re-decode extends a copy of the attempt's echelon, not the echelon.
+        base = pipeline.attempt_rlc(batch, g)
+        pivots = list(base.echelon.pivots)
+        result = _repair(method, pipeline.syndrome_system(batch, g), self.PARAMS)
+        assert pipeline.redecode(batch, g, base, result) == out
+        assert base.echelon.rank == 2 and base.echelon.pivots == pivots
 
     @pytest.mark.parametrize("method", ["sd", "tgrand"])
     def test_hand_instance_ambiguous_errors_fail(self, method):
@@ -119,6 +128,20 @@ class TestRepairAndRedecode:
         assert not out.success
         assert out.nu == 0
         assert out.rank_after == 2
+
+    def test_e_hat_of_the_wrong_shape_is_rejected(self):
+        g, u = _hand_instance()
+        e = BitMatrix(6, 8, (0, 0, 1 << 1, 0, 1 << 3, 1 << 6))
+        batch = _make_batch(g, u, e)
+        base = pipeline.attempt_rlc(batch, g)
+        good = _repair("sd", pipeline.syndrome_system(batch, g), self.PARAMS)
+        for e_hat in (good.e_hat.take_rows(range(2)), BitMatrix.zeros(3, 7)):
+            short = RepairResult(e_hat, good.unresolved, good.queries_per_column)
+            with pytest.raises(ValueError):
+                pipeline.redecode(batch, g, base, short)
+        again = pipeline.redecode(batch, g, base, good)
+        with pytest.raises(ValueError, match="attempt_rlc"):
+            pipeline.redecode(batch, g, again, good)
 
     def test_satisfiable_batch_returns_plain_success(self):
         g = rlc.make_generator(3, 6, 4)
@@ -144,8 +167,10 @@ class TestRepairAndRedecode:
     st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
 )
 def test_receiver_invariants_on_random_batches(k, extra, b, gseed, useed, eseed):
-    """Promotion soundness, success monotonicity, the syndrome identity, and
-    one syndrome system shared by both repairs in either order."""
+    """Promotion soundness, success monotonicity, the syndrome identity,
+    one syndrome system shared by both repairs in either order, and
+    re-decodes from one shared plain attempt that equal the stacked
+    re-decode and leave the attempt's echelon as it was."""
     g = rlc.make_generator(k, k + extra, gseed)
     u = random_bit_matrix(useed, k, b)
     x = rlc.encode(g, u)
@@ -171,6 +196,15 @@ def test_receiver_invariants_on_random_batches(k, extra, b, gseed, useed, eseed)
         shared = pipeline.syndrome_system(batch, g)
         for method in order:
             assert _repair(method, shared, params) == fresh[method]
+
+    base = pipeline.attempt_rlc(batch, g)
+    ech = base.echelon
+    before = (ech.rank, ech.inconsistent, list(ech.pivots))
+    for order in (("sd", "tgrand"), ("tgrand", "sd")):
+        for method in order:
+            out = pipeline.redecode(batch, g, base, fresh[method])
+            assert out == redecode_by_stacking(batch, g, base, fresh[method])
+    assert (ech.rank, ech.inconsistent, list(ech.pivots)) == before
 
     for method in ("sd", "tgrand"):
         out = _receive(batch, g, method, params)

@@ -138,9 +138,9 @@ class TestRepair:
         res = sd.sd_repair(sd.SyndromeSystem(ht=ht, s=s))
         assert res.unresolved == ()
         for b in range(e.cols):
-            s_bits = tuple(s.get(i, b) for i in range(s.rows))
+            s_bits = tuple(s.row_bits(i)[b] for i in range(s.rows))
             expected = sd.sd_solve_column(ht, s_bits)
-            got = tuple(res.e_hat.get(j, b) for j in range(ht.cols))
+            got = tuple(res.e_hat.row_bits(j)[b] for j in range(ht.cols))
             assert got == expected
 
     @settings(max_examples=150, deadline=None)

@@ -287,7 +287,7 @@ class TestRepair:
         for col in range(b):
             target = s.col_ints()[col]
             expected = map_solution(ht, target, prior_bits, p01, p10)
-            got = tuple(res.e_hat.get(j, col) for j in range(unknowns))
+            got = tuple(res.e_hat.row_bits(j)[col] for j in range(unknowns))
             assert got == expected
             prior_bits = got
 
