@@ -19,7 +19,7 @@ from .pipeline import (
 )
 from .rlc import Generator, ParityCheck, encode, make_generator, parity_check, rlc_decode
 from .simcli import SimConfig, SimRecord, run_experiment, run_trial
-from .syndrome_decoder import SyndromeSystem, compute_syndrome, sd_repair, sd_solve_column
+from .syndrome_decoder import SyndromeSystem, compute_syndrome, sd_repair
 from .tgrand import (
     ColumnPrior,
     TransitionClass,
@@ -56,7 +56,6 @@ __all__ = [
     "run_experiment",
     "run_trial",
     "sd_repair",
-    "sd_solve_column",
     "sorted_classes",
     "syndrome_system",
     "tg_repair",

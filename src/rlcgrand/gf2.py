@@ -5,10 +5,12 @@ bit ``j`` holding column ``j``.  Row XOR is then a single integer XOR,
 which keeps elimination and matrix products cheap at the sizes used by
 the packet simulator (tens of rows and columns).
 
-`Echelon` is the one elimination routine.  It takes the rows of a
-system one at a time, so a receiver reduces its clean rows once and
-later adds only the rows a repair promotes; `rank` and `rank_solve`
-feed it a whole matrix.
+`Echelon` is the elimination behind every rank and solve here.  It
+takes the rows of a system one at a time, so a receiver reduces its
+clean rows once and later adds only the rows a repair promotes; `rank`
+and `rank_solve` feed it a whole matrix.  The repair search
+(`search.SearchCore`) eliminates the columns of ht on its own, because
+it also records which original columns each pivot combines.
 """
 
 from __future__ import annotations

@@ -20,12 +20,11 @@ from .rng import MASK64, random_rows
 
 @dataclass(frozen=True)
 class Generator:
-    """Systematic generator [I_K; P]; P is drawn from SplitMix64(seed)."""
+    """Systematic generator [I_K; P]; `make_generator` draws P from a seed."""
 
     k: int
     n: int
     matrix: BitMatrix
-    seed: int
 
     def __post_init__(self):
         if self.matrix.rows != self.n or self.matrix.cols != self.k:
@@ -63,8 +62,8 @@ def make_generators(k: int, n: int, seeds: np.ndarray) -> list[Generator]:
         raise ValueError("n must be at least k")
     top = BitMatrix.identity(k).row_ints
     return [
-        Generator(k=k, n=n, matrix=BitMatrix.trusted(n, k, top + p), seed=seed)
-        for p, seed in zip(random_rows(seeds, n - k, k), seeds.tolist())
+        Generator(k=k, n=n, matrix=BitMatrix.trusted(n, k, top + p))
+        for p in random_rows(seeds, n - k, k)
     ]
 
 

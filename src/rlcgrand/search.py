@@ -1,10 +1,12 @@
-"""Exact first-hit search shared by the syndrome and transversal-GRAND decoders.
+"""Syndrome system and exact first-hit search, shared by both repairs.
 
-Both receivers solve one linear system ht·w = t per bit position by
-querying candidate error columns w in a fixed order and keeping the first
-that satisfies the syndrome; they differ only in that order.  A decoder
-describes its order (`CandidateOrder`) by a generator of candidate masks
-in query order and the closed-form position of any mask in that order.
+A `SyndromeSystem` holds ht = (H restricted to the corrupted rows)ᵀ and
+the syndrome s.  Both receivers solve one linear system ht·w = t per bit
+position by querying candidate error columns w in a fixed order and
+keeping the first that satisfies the syndrome; they differ only in that
+order.  A decoder describes its order (`CandidateOrder`) by a generator
+of candidate masks in query order and the closed-form position of any
+mask in that order.
 
 The solutions of one column form a coset x0 + ker(ht) of dimension
 d = L - rank(ht).  Eliminating the columns of ht once per system, with a
@@ -17,8 +19,9 @@ steps:
   in the same order continue the scan instead of restarting it;
 - rank: if the scan found no hit and 2^d < cap, the first hit lies past
   position 2^d; it is the coset member with the smallest position.  The
-  orders are blocked (weight layers, likelihood classes), so only the
-  members in the earliest block need their full position.
+  order is blocked (likelihood classes; weight layers for the syndrome
+  decoder), so only the members in the earliest block need their full
+  position.
 
 A hit past the cap, or a target outside the column space of ht, leaves
 the column unresolved at a cost of min(2^L, cap) queries, exactly as if
@@ -32,12 +35,14 @@ search throughout, transversal GRAND keeps one search per prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from math import comb
 from typing import Callable, Iterator, Protocol, Sequence
 
 from .gf2 import BitMatrix
+
+DEFAULT_QUERY_CAP = 1 << 20
 
 # A first hit: (candidate mask, queries used), or (None, queries) when the
 # column is unresolved.
@@ -104,6 +109,31 @@ class SearchCore:
         for v in self._kernel:
             members += [m ^ v for m in members]
         return members
+
+
+@dataclass(frozen=True)
+class SyndromeSystem:
+    """Per-batch syndrome system: ht = (H_corrupted)ᵀ of shape (N-K)×L, s = (N-K)×B.
+
+    The columns of ht are eliminated (`core`) and s is split into its B
+    column targets (`targets`) once, when the system is built, so every
+    repair run on the system shares that work.
+    """
+
+    ht: BitMatrix
+    s: BitMatrix
+    core: SearchCore = field(init=False, repr=False, compare=False)
+    targets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.s.rows != self.ht.rows:
+            raise ValueError("syndrome row count must match parity-check row count")
+        object.__setattr__(self, "core", SearchCore(self.ht.col_ints()))
+        object.__setattr__(self, "targets", self.s.col_ints())
+
+    @property
+    def num_unknowns(self) -> int:
+        return self.ht.cols
 
 
 class OrderedSearch:
@@ -203,18 +233,6 @@ def repair_columns(
     )
 
 
-def solve_column(
-    ht: BitMatrix, s: Sequence[int], order: CandidateOrder, query_cap: int
-) -> tuple[int, ...] | None:
-    """First candidate of `order` with ht·wᵀ = s, or None once the cap is hit."""
-    if len(s) != ht.rows:
-        raise ValueError(f"syndrome length {len(s)} does not match {ht.rows} checks")
-    mask, _ = OrderedSearch(SearchCore(ht.col_ints()), order, query_cap).find(bits_to_mask(s))
-    if mask is None:
-        return None
-    return mask_to_bits(mask, ht.cols)
-
-
 def bits_to_mask(bits: Sequence[int]) -> int:
     mask = 0
     for i, bit in enumerate(bits):
@@ -226,17 +244,18 @@ def mask_to_bits(mask: int, length: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(length))
 
 
-def lex_rank(mask: int, index: Sequence[int], n: int, k: int) -> int:
-    """0-based rank of a k-subset of n ordered positions, in combinations order.
+def lex_rank(mask: int, side: int, k: int) -> int:
+    """0-based rank of a k-subset of the set bits of `side`, in combinations order.
 
-    Bit p of `mask` selects the position at index[p] of the n; the order
-    is that of itertools.combinations over the n positions, i.e.
-    lexicographic by index.  Bits must ascend with their indices.
+    `mask` selects k of the n set bits of `side`; the order is that of
+    itertools.combinations over those bits taken in ascending position,
+    i.e. lexicographic by their index among them.
     """
+    n = side.bit_count()
     r = comb(n, k) - 1
     while mask:
         low = mask & -mask
-        r -= comb(n - 1 - index[low.bit_length() - 1], k)
+        r -= comb(n - 1 - (side & (low - 1)).bit_count(), k)
         k -= 1
         mask ^= low
     return r

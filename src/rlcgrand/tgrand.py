@@ -26,6 +26,9 @@ member with the smallest position
 where flips0 and flips1 are the flipped zero and one positions.  The
 estimate and the reported query count equal those of walking the order
 to the first hit, or to the query cap.
+
+At the all-zero prior with p01 < 1/2 the order is the weight order;
+syndrome decoding runs `LikelihoodOrder` at that point.
 """
 
 from __future__ import annotations
@@ -33,15 +36,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterator, Sequence
 
 from .channel import ChannelParams
 from .gf2 import BitMatrix
 from .search import (
-    OrderedSearch, RepairResult, bits_to_mask, lex_rank, mask_to_bits, repair_columns, solve_column,
+    DEFAULT_QUERY_CAP, OrderedSearch, RepairResult, SearchCore, SyndromeSystem, bits_to_mask,
+    lex_rank, mask_to_bits, repair_columns,
 )
-from .syndrome_decoder import DEFAULT_QUERY_CAP, SyndromeSystem
 
 # Two class probabilities tie when their logs agree to this tolerance;
 # ties fall back to (l0+l1, l0) ordering so runs are reproducible.
@@ -159,7 +162,7 @@ def enumerate_candidates(
     the outer loop and the flipped one positions as the inner loop.
     The emitted vectors use the original coordinate positions.
     """
-    order = _LikelihoodOrder(bits_to_mask(prior.prev), prior.length, params)
+    order = LikelihoodOrder(bits_to_mask(prior.prev), prior.length, params)
     for mask in order.masks():
         yield mask_to_bits(mask, prior.length)
 
@@ -174,8 +177,11 @@ def tg_solve_column(
     """First candidate (in likelihood order) with ht·wᵀ = s, or None at the cap."""
     if prior.length != ht.cols:
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
-    order = _LikelihoodOrder(bits_to_mask(prior.prev), ht.cols, params)
-    return solve_column(ht, s, order, query_cap)
+    if len(s) != ht.rows:
+        raise ValueError(f"syndrome length {len(s)} does not match {ht.rows} checks")
+    order = LikelihoodOrder(bits_to_mask(prior.prev), ht.cols, params)
+    mask, _ = OrderedSearch(SearchCore(ht.col_ints()), order, query_cap).find(bits_to_mask(s))
+    return None if mask is None else mask_to_bits(mask, ht.cols)
 
 
 def tg_repair(
@@ -193,12 +199,13 @@ def tg_repair(
 
     @cache
     def search_for(prior: int) -> OrderedSearch:
-        return OrderedSearch(system.core, _LikelihoodOrder(prior, l, params), query_cap)
+        order = likelihood_order(prior, l, params.p01, params.p10)
+        return OrderedSearch(system.core, order, query_cap)
 
     return repair_columns(system.targets, l, search_for)
 
 
-class _LikelihoodOrder:
+class LikelihoodOrder:
     """Likelihood order of the candidates for one prior column.
 
     A candidate's position is the offset of its (l0, l1) class in
@@ -208,51 +215,62 @@ class _LikelihoodOrder:
 
     def __init__(self, prior_mask: int, l: int, params: ChannelParams):
         self._prior = prior_mask
-        self._l = l
+        self._zeros = ~prior_mask & ((1 << l) - 1)
         self._params = params
-        self._zero_bits = [1 << j for j in range(l) if not prior_mask >> j & 1]
+        self._zero_bits = [1 << j for j in range(l) if self._zeros >> j & 1]
         self._one_bits = [1 << j for j in range(l) if prior_mask >> j & 1]
+        self._stride = len(self._one_bits) + 1
+        self._offsets = _class_offsets(
+            params.p01, params.p10, len(self._zero_bits), len(self._one_bits)
+        )
 
     def masks(self) -> Iterator[int]:
-        p = self._params
-        for cls in _sorted_classes_cached(p.p01, p.p10, len(self._zero_bits), len(self._one_bits)):
-            for flips0 in combinations(self._zero_bits, cls.l0):
-                base = self._prior ^ sum(flips0)
-                for flips1 in combinations(self._one_bits, cls.l1):
-                    yield base ^ sum(flips1)
+        prior, p, zero_bits, one_bits = self._prior, self._params, self._zero_bits, self._one_bits
+        for cls in _sorted_classes_cached(p.p01, p.p10, len(zero_bits), len(one_bits)):
+            # prior ^ flips0 ^ flips1 == sum(flips0, prior ^ flips1), because
+            # flips0 sets only the prior's zeros.  A class with one one-side
+            # combination (l1 = 0 or L1, so every class of the all-zero
+            # prior) is then a single map over the zero-side combinations.
+            bases = [prior ^ sum(c) for c in combinations(one_bits, cls.l1)]
+            flips0 = combinations(zero_bits, cls.l0)
+            if len(bases) == 1:
+                yield from map(sum, flips0, repeat(bases[0]))
+            else:
+                for f0 in map(sum, flips0):
+                    for base in bases:
+                        yield f0 ^ base
 
     def block(self, mask: int) -> int:
-        flips = mask ^ self._prior
-        ones = flips & self._prior
-        big_l1 = len(self._one_bits)
-        offsets = _class_offsets(self._params.p01, self._params.p10, len(self._zero_bits), big_l1)
-        return offsets[(flips ^ ones).bit_count() * (big_l1 + 1) + ones.bit_count()]
+        return self._offsets[
+            (mask & self._zeros).bit_count() * self._stride + (mask & self._prior).bit_count()
+        ]
 
     def position(self, mask: int) -> int:
-        flips = mask ^ self._prior
-        flips1 = flips & self._prior
-        flips0 = flips ^ flips1
-        big_l0, big_l1 = len(self._zero_bits), len(self._one_bits)
-        # side_index[j] is j's index among the prior's zeros or among its ones.
-        side_index = [0] * self._l
-        for side in (self._zero_bits, self._one_bits):
-            for i, bit in enumerate(side):
-                side_index[bit.bit_length() - 1] = i
+        flips0 = mask & self._zeros
+        flips1 = self._prior & ~mask
+        l1 = flips1.bit_count()
         return (
             self.block(mask)
-            + lex_rank(flips0, side_index, big_l0, flips0.bit_count())
-            * math.comb(big_l1, flips1.bit_count())
-            + lex_rank(flips1, side_index, big_l1, flips1.bit_count())
+            + lex_rank(flips0, self._zeros, flips0.bit_count()) * math.comb(self._stride - 1, l1)
+            + lex_rank(flips1, self._prior, l1)
             + 1
         )
 
 
+@lru_cache(maxsize=1024)
+def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> LikelihoodOrder:
+    """The `LikelihoodOrder` for (prior, L, p01, p10), shared by every repair:
+    orders are immutable and the same priors recur across systems."""
+    return LikelihoodOrder(prior_mask, l, ChannelParams(p01=p01, p10=p10))
+
+
 @lru_cache(maxsize=4096)
 def _class_offsets(p01: float, p10: float, big_l0: int, big_l1: int) -> tuple[int, ...]:
-    """Candidates queried before class (l0, l1), at index l0·(L1+1) + l1."""
+    """Candidates queried before class (l0, l1), at index l0·(L1+1) + L1-l1:
+    by flipped zeros and kept ones, one popcount on each side of the prior."""
     offsets = [0] * ((big_l0 + 1) * (big_l1 + 1))
     total = 0
     for cls in _sorted_classes_cached(p01, p10, big_l0, big_l1):
-        offsets[cls.l0 * (big_l1 + 1) + cls.l1] = total
+        offsets[cls.l0 * (big_l1 + 1) + big_l1 - cls.l1] = total
         total += cls.count
     return tuple(offsets)

@@ -27,7 +27,7 @@ def _hand_instance():
     matrix = BitMatrix.from_rows(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1]]
     )
-    g = rlc.Generator(k=3, n=6, matrix=matrix, seed=0)
+    g = rlc.Generator(k=3, n=6, matrix=matrix)
     u = random_bit_matrix(11, 3, 8)
     return g, u
 

@@ -3,15 +3,14 @@ from itertools import combinations, islice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlcgrand import channel, gf2
+from rlcgrand import channel, gf2, syndrome_decoder as sd
 from rlcgrand.channel import ChannelParams
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.pipeline import classify
 from rlcgrand.rlc import encode, make_generator, parity_check
 from rlcgrand.rng import random_bit_matrix
 from rlcgrand.search import OrderedSearch, SearchCore, lex_rank
-from rlcgrand.syndrome_decoder import _WeightOrder
-from rlcgrand.tgrand import _LikelihoodOrder
+from rlcgrand.tgrand import LikelihoodOrder
 
 from oracles import first_hit, likelihood_order, syndrome_of_mask, weight_order
 
@@ -53,10 +52,10 @@ class TestCoset:
 
     def test_lex_rank_follows_combinations(self):
         positions = (1, 4, 5, 9, 12)
-        index = {p: i for i, p in enumerate(positions)}
+        side = sum(1 << p for p in positions)
         for k in range(len(positions) + 1):
             for i, combo in enumerate(combinations(positions, k)):
-                assert lex_rank(sum(1 << p for p in combo), index, len(positions), k) == i
+                assert lex_rank(sum(1 << p for p in combo), side, k) == i
 
 
 class CountingWeightOrder:
@@ -141,8 +140,8 @@ class TestWorkBound:
         params = ChannelParams(p01=0.1, p10=0.3)
         prior = 0b0000111100110000
         orders = [
-            (lambda: _WeightOrder(16), list(weight_order(16))),
-            (lambda: _LikelihoodOrder(prior, 16, params), list(likelihood_order(prior, 16, params))),
+            (lambda: sd.weight_order(16), list(weight_order(16))),
+            (lambda: LikelihoodOrder(prior, 16, params), list(likelihood_order(prior, 16, params))),
         ]
         for query_cap in (5, 1 << 20):
             for make, stream in orders:
@@ -162,7 +161,7 @@ class TestWorkBound:
         assert core.dim == 14
         stream = list(islice(weight_order(20), 1 << 15))  # holds every first hit here
         params = ChannelParams(p01=0.1, p10=0.3)
-        for order in (Counting(_WeightOrder(20)), Counting(_LikelihoodOrder(0, 20, params))):
+        for order in (Counting(sd.weight_order(20)), Counting(LikelihoodOrder(0, 20, params))):
             assert_within_bound(core, ht, order, stream, (0, 0b011111, 0b111111), 1 << 20)
             assert order.drawn == 1 << 14
             assert order.evaluated == 1 << 14

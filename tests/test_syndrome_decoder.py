@@ -1,9 +1,14 @@
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlcgrand import gf2, rlc, syndrome_decoder as sd
+from rlcgrand.channel import ChannelParams
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import random_bit_matrix
+from rlcgrand.tgrand import LikelihoodOrder
 
 from oracles import (
     assert_repair_matches,
@@ -11,6 +16,7 @@ from oracles import (
     min_weight_solutions,
     sd_repair_by_enumeration,
     syndrome_of_mask,
+    weight_order,
 )
 
 
@@ -30,6 +36,14 @@ def small_system(max_checks=4, max_unknowns=4, max_cols=6):
         st.integers(0, 2**32 - 1),
         st.integers(0, 2**32 - 1),
     ).map(build)
+
+
+def sd_column(ht, s_bits, query_cap=sd.DEFAULT_QUERY_CAP):
+    """sd's estimate of one column as bits, from `sd_repair` over a
+    one-column system; None when the column is unresolved."""
+    s = BitMatrix.from_rows([[bit] for bit in s_bits], cols=1)
+    res = sd.sd_repair(sd.SyndromeSystem(ht=ht, s=s), query_cap)
+    return None if res.unresolved else res.e_hat.row_ints
 
 
 class TestComputeSyndrome:
@@ -62,26 +76,26 @@ class TestComputeSyndrome:
 class TestSolveColumn:
     def test_zero_syndrome_returns_zero(self):
         ht = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-        assert sd.sd_solve_column(ht, [0, 0]) == (0, 0, 0)
+        assert sd_column(ht, [0, 0]) == (0, 0, 0)
 
     def test_hand_enumeration(self):
         ht = BitMatrix.from_rows([[1, 0], [1, 1]])
-        assert sd.sd_solve_column(ht, [1, 1]) == (1, 0)
+        assert sd_column(ht, [1, 1]) == (1, 0)
 
     def test_no_checks_vacuous(self):
         ht = BitMatrix.zeros(0, 3)
-        assert sd.sd_solve_column(ht, []) == (0, 0, 0)
+        assert sd_column(ht, []) == (0, 0, 0)
 
     def test_cap_exceeded(self):
         ht = BitMatrix.from_rows([[1, 0], [0, 1]])
-        assert sd.sd_solve_column(ht, [1, 1], query_cap=3) is None
+        assert sd_column(ht, [1, 1], query_cap=3) is None
 
     def test_minimality_at_twelve_unknowns(self):
         ht = random_bit_matrix(314, 5, 12)
         e = random_bit_matrix(159, 12, 1)
         target = syndrome_of_mask(ht, e.col_ints()[0])
         s_bits = tuple((target >> i) & 1 for i in range(5))
-        got = sd.sd_solve_column(ht, s_bits)
+        got = sd_column(ht, s_bits)
         best_w, _ = min_weight_solutions(ht, target)
         assert sum(got) == best_w
 
@@ -91,7 +105,7 @@ class TestSolveColumn:
         ht, e = system
         target = syndrome_of_mask(ht, e.col_ints()[0] if e.cols else 0)
         s_bits = tuple((target >> i) & 1 for i in range(ht.rows))
-        got = sd.sd_solve_column(ht, s_bits)
+        got = sd_column(ht, s_bits)
         best_w, best_masks = min_weight_solutions(ht, target)
         assert got is not None
         assert matvec_check(ht, got, s_bits)
@@ -102,6 +116,27 @@ class TestSolveColumn:
             tuple(j for j in range(ht.cols) if (m >> j) & 1) for m in best_masks
         )
         assert tuple(j for j, bit in enumerate(got) if bit) == supports[0]
+
+
+class TestWeightOrder:
+    @pytest.mark.parametrize("l", range(11))
+    def test_sd_order_is_the_weight_order(self, l):
+        # The order exactly as sd_repair builds it: the oracle's masks,
+        # each at its 1-based index, each block the count of lighter masks.
+        order = sd.weight_order(l)
+        masks = list(order.masks())
+        assert masks == list(weight_order(l))
+        per_weight = Counter(m.bit_count() for m in masks)
+        for i, mask in enumerate(masks):
+            assert order.position(mask) == i + 1
+            assert order.block(mask) == sum(per_weight[w] for w in range(mask.bit_count()))
+
+    def test_channel_params_past_one_half_reverse_it(self):
+        # At p01 > 1/2 the all-zero-prior likelihood order under the
+        # channel's own params runs heaviest first, so sd cannot use them.
+        masks = list(LikelihoodOrder(0, 4, ChannelParams(p01=0.9, p10=0.3)).masks())
+        assert masks != list(weight_order(4))
+        assert masks[0] == 0b1111
 
 
 class TestRepair:
@@ -139,7 +174,7 @@ class TestRepair:
         assert res.unresolved == ()
         for b in range(e.cols):
             s_bits = tuple(s.row_bits(i)[b] for i in range(s.rows))
-            expected = sd.sd_solve_column(ht, s_bits)
+            expected = sd_column(ht, s_bits)
             got = tuple(res.e_hat.row_bits(j)[b] for j in range(ht.cols))
             assert got == expected
 

@@ -191,9 +191,10 @@ class TestSolveColumn:
         s_bits = tuple((target >> i) & 1 for i in range(checks))
         params = ChannelParams(p01=p01, p10=1.0 - p01)
         tg_ans = tgrand.tg_solve_column(ht, s_bits, prior, params)
-        sd_ans = sd.sd_solve_column(ht, s_bits)
-        assert tg_ans is not None and sd_ans is not None
-        assert sum(tg_ans) == sum(sd_ans)
+        s = BitMatrix.from_rows([[bit] for bit in s_bits], cols=1)
+        sd_res = sd.sd_repair(SyndromeSystem(ht=ht, s=s))
+        assert tg_ans is not None and sd_res.unresolved == ()
+        assert sum(tg_ans) == sum(sd_res.e_hat.row_ints)
 
     @settings(max_examples=50)
     @given(
