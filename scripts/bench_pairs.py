@@ -18,8 +18,15 @@ repository root with every run's metrics, digest and correctness.  Each
 side is identified by the git tree hash of its ``src/``, which for the
 working tree is computed from the files on disk, so a record made before
 the change is committed still names the code it measured: it equals
-``git rev-parse <commit>:src`` of the commit that holds that code.  The
-script exits 1 if any run was not correct.
+``git rev-parse <commit>:src`` of the commit that holds that code.
+
+Every run of both sides at one (workload, seed) must report the same
+records digest: at a seed with no entry in ``perfbench/digests.json``
+that comparison is the only proof that the change's records equal the
+parent's.  Each benchmark's summary records the outcome under
+``digests``; differing digests are printed.  The script exits 1 if any
+run was not correct or any (workload, seed) produced more than one
+digest.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "benchmarks": [],
     }
-    all_correct = True
+    all_correct = identical = True
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         parent = Path(tmp)
         archive = subprocess.run(
@@ -72,6 +79,8 @@ def main(argv=None) -> int:
                         print(f"{workload} seed={seed} pair={pair} {side}: "
                               f"correct={run['correct']} {run['metrics']}", flush=True)
                 summary = _summarise(runs, declared)
+                summary["digests"] = _compare_digests(runs)
+                identical &= summary["digests"]["identical"]
                 record["benchmarks"].append(
                     {"workload": workload, "seed": seed, "summary": summary, "runs": runs}
                 )
@@ -80,7 +89,7 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
-    return 0 if all_correct else 1
+    return 0 if all_correct and identical else 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -155,6 +164,17 @@ def _summarise(runs: list[dict], declared: list[dict]) -> dict:
     return summary
 
 
+def _compare_digests(runs: list[dict]) -> dict:
+    """Whether every run of both sides reported one records digest, and
+    how many runs of each side reported each digest."""
+    counts = {side: {} for side in ("parent", "change")}
+    for r in runs:
+        digest = str(r["digest"])
+        counts[r["side"]][digest] = counts[r["side"]].get(digest, 0) + 1
+    digests = {r["digest"] for r in runs}
+    return {"identical": len(digests) == 1 and None not in digests, **counts}
+
+
 def _spread(values: list[float]) -> dict:
     if not values:
         return {}
@@ -164,7 +184,16 @@ def _spread(values: list[float]) -> dict:
 
 def _print_summary(workload: str, seed: int, summary: dict) -> None:
     print(f"== {workload} seed={seed}")
+    digests = summary["digests"]
+    if digests["identical"]:
+        print(f"  records: one digest over {sum(digests['parent'].values())} parent "
+              f"and {sum(digests['change'].values())} change runs")
+    else:
+        for side in ("parent", "change"):
+            print(f"  records DIFFER, {side} digests (runs): {digests[side]}")
     for name, s in summary.items():
+        if name == "digests":
+            continue
         p, c = s["parent"], s["change"]
         if not p or not c:
             print(f"  {name}: incomplete")

@@ -7,30 +7,24 @@ consistent with that syndrome.  Candidates are queried in weight order
 (0, 1, 2, ...), lexicographic by support within a weight, so runs are
 reproducible; a query cap bounds the search per column.
 
-This is transversal GRAND at the BSC point (p10 = 1 - p01) with the
-all-zero prior on every column, whose likelihood order is the weight
-order: sd runs tgrand's order through the shared search (`search.py`),
-one search for every column.  The estimate and the query count equal
-those of walking the weight order to the first hit, or to the cap.
+This is `tgrand.LikelihoodOrder` at the all-zero prior with the weight
+class table ((0, 0), (1, 0), ..., (L, 0)), one search for every column
+through the shared search (`search.py`).  The estimate and the query
+count equal those of walking the weight order to the first hit, or to
+the cap.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import gf2
-from .channel import ChannelParams
 from .gf2 import BitMatrix
 from .rlc import ParityCheck
 from .search import (
     DEFAULT_QUERY_CAP, OrderedSearch, RepairResult, SyndromeSystem, repair_columns,
 )
-from .tgrand import LikelihoodOrder, likelihood_order
-
-# With an all-zero prior L1 = 0, so the likelihood classes are (l0, 0),
-# l0 = 0..L, and p10 never enters the order; with p01 < 1/2 they run in
-# ascending l0, which is the weight order.  sd uses these fixed
-# memoryless params, never the channel's own: at p01 > 1/2 the channel's
-# all-zero-prior order runs heaviest first.
-_MEMORYLESS = ChannelParams(p01=0.25, p10=0.75)
+from .tgrand import LikelihoodOrder
 
 
 def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
@@ -38,10 +32,11 @@ def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
     return gf2.matmul(h.matrix.transpose(), y)
 
 
+@cache
 def weight_order(l: int) -> LikelihoodOrder:
     """sd's candidate order over L unknowns: weight 0, 1, 2, ...; supports
     in lexicographic order within a weight."""
-    return likelihood_order(0, l, _MEMORYLESS.p01, _MEMORYLESS.p10)
+    return LikelihoodOrder(0, l, tuple((w, 0) for w in range(l + 1)))
 
 
 def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> RepairResult:

@@ -27,8 +27,9 @@ where flips0 and flips1 are the flipped zero and one positions.  The
 estimate and the reported query count equal those of walking the order
 to the first hit, or to the query cap.
 
-At the all-zero prior with p01 < 1/2 the order is the weight order;
-syndrome decoding runs `LikelihoodOrder` at that point.
+An order is a prior plus its class table.  `likelihood_order` takes the
+table of the channel's (p01, p10); syndrome decoding takes the all-zero
+prior with the weight table ((0, 0), (1, 0), ..., (L, 0)).
 """
 
 from __future__ import annotations
@@ -92,13 +93,20 @@ def sorted_classes(params: ChannelParams, big_l0: int, big_l1: int) -> list[Tran
     Probabilities are compared in the log domain; classes within
     TIE_TOLERANCE of each other order by smaller l0+l1, then smaller l0.
     """
-    return list(_sorted_classes_cached(params.p01, params.p10, big_l0, big_l1))
+    return [
+        TransitionClass(
+            l0=l0,
+            l1=l1,
+            prob=class_probability(params, big_l0, big_l1, l0, l1),
+            count=math.comb(big_l0, l0) * math.comb(big_l1, l1),
+        )
+        for l0, l1 in _class_table(params.p01, params.p10, big_l0, big_l1)
+    ]
 
 
 @lru_cache(maxsize=4096)
-def _sorted_classes_cached(
-    p01: float, p10: float, big_l0: int, big_l1: int
-) -> tuple[TransitionClass, ...]:
+def _class_table(p01: float, p10: float, big_l0: int, big_l1: int) -> tuple[tuple[int, int], ...]:
+    """The (l0, l1) pairs of `sorted_classes`, in the same order."""
     lp01, l1mp01 = _log(p01), _log(1.0 - p01)
     lp10, l1mp10 = _log(p10), _log(1.0 - p10)
     entries = []
@@ -120,20 +128,11 @@ def _sorted_classes_cached(
             groups[-1].append(entry)
         else:
             groups.append([entry])
-    params = ChannelParams(p01=p01, p10=p10)
-    out = []
+    table = []
     for group in groups:
         group.sort(key=lambda e: (e[1] + e[2], e[1]))
-        for _, l0, l1 in group:
-            out.append(
-                TransitionClass(
-                    l0=l0,
-                    l1=l1,
-                    prob=class_probability(params, big_l0, big_l1, l0, l1),
-                    count=math.comb(big_l0, l0) * math.comb(big_l1, l1),
-                )
-            )
-    return tuple(out)
+        table.extend((l0, l1) for _, l0, l1 in group)
+    return tuple(table)
 
 
 def _log(p: float) -> float:
@@ -162,7 +161,7 @@ def enumerate_candidates(
     the outer loop and the flipped one positions as the inner loop.
     The emitted vectors use the original coordinate positions.
     """
-    order = LikelihoodOrder(bits_to_mask(prior.prev), prior.length, params)
+    order = likelihood_order(bits_to_mask(prior.prev), prior.length, params.p01, params.p10)
     for mask in order.masks():
         yield mask_to_bits(mask, prior.length)
 
@@ -179,7 +178,7 @@ def tg_solve_column(
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
     if len(s) != ht.rows:
         raise ValueError(f"syndrome length {len(s)} does not match {ht.rows} checks")
-    order = LikelihoodOrder(bits_to_mask(prior.prev), ht.cols, params)
+    order = likelihood_order(bits_to_mask(prior.prev), ht.cols, params.p01, params.p10)
     mask, _ = OrderedSearch(SearchCore(ht.col_ints()), order, query_cap).find(bits_to_mask(s))
     return None if mask is None else mask_to_bits(mask, ht.cols)
 
@@ -206,33 +205,33 @@ def tg_repair(
 
 
 class LikelihoodOrder:
-    """Likelihood order of the candidates for one prior column.
+    """Candidate order for one prior column, given its (l0, l1) class
+    table in query order: every (L0+1)(L1+1) pair once, with L1 the
+    prior's weight and L0 = L - L1.
 
-    A candidate's position is the offset of its (l0, l1) class in
-    `sorted_classes` plus its rank inside the class, where the zero-side
-    flips are the major and the one-side flips the minor index.
+    A candidate's position is the offset of its class (the candidates of
+    the classes before it) plus its rank inside the class, where the
+    zero-side flips are the major and the one-side flips the minor index.
     """
 
-    def __init__(self, prior_mask: int, l: int, params: ChannelParams):
+    def __init__(self, prior_mask: int, l: int, classes: tuple[tuple[int, int], ...]):
         self._prior = prior_mask
         self._zeros = ~prior_mask & ((1 << l) - 1)
-        self._params = params
+        self._classes = classes
         self._zero_bits = [1 << j for j in range(l) if self._zeros >> j & 1]
         self._one_bits = [1 << j for j in range(l) if prior_mask >> j & 1]
         self._stride = len(self._one_bits) + 1
-        self._offsets = _class_offsets(
-            params.p01, params.p10, len(self._zero_bits), len(self._one_bits)
-        )
+        self._offsets = _class_offsets(classes, len(self._zero_bits), len(self._one_bits))
 
     def masks(self) -> Iterator[int]:
-        prior, p, zero_bits, one_bits = self._prior, self._params, self._zero_bits, self._one_bits
-        for cls in _sorted_classes_cached(p.p01, p.p10, len(zero_bits), len(one_bits)):
+        prior, zero_bits, one_bits = self._prior, self._zero_bits, self._one_bits
+        for l0, l1 in self._classes:
             # prior ^ flips0 ^ flips1 == sum(flips0, prior ^ flips1), because
             # flips0 sets only the prior's zeros.  A class with one one-side
             # combination (l1 = 0 or L1, so every class of the all-zero
             # prior) is then a single map over the zero-side combinations.
-            bases = [prior ^ sum(c) for c in combinations(one_bits, cls.l1)]
-            flips0 = combinations(zero_bits, cls.l0)
+            bases = [prior ^ sum(c) for c in combinations(one_bits, l1)]
+            flips0 = combinations(zero_bits, l0)
             if len(bases) == 1:
                 yield from map(sum, flips0, repeat(bases[0]))
             else:
@@ -259,18 +258,21 @@ class LikelihoodOrder:
 
 @lru_cache(maxsize=1024)
 def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> LikelihoodOrder:
-    """The `LikelihoodOrder` for (prior, L, p01, p10), shared by every repair:
-    orders are immutable and the same priors recur across systems."""
-    return LikelihoodOrder(prior_mask, l, ChannelParams(p01=p01, p10=p10))
+    """The channel's `LikelihoodOrder` for (prior, L), shared by every
+    repair: orders are immutable and the same priors recur across systems."""
+    ones = prior_mask.bit_count()
+    return LikelihoodOrder(prior_mask, l, _class_table(p01, p10, l - ones, ones))
 
 
 @lru_cache(maxsize=4096)
-def _class_offsets(p01: float, p10: float, big_l0: int, big_l1: int) -> tuple[int, ...]:
+def _class_offsets(
+    classes: tuple[tuple[int, int], ...], big_l0: int, big_l1: int
+) -> tuple[int, ...]:
     """Candidates queried before class (l0, l1), at index l0·(L1+1) + L1-l1:
     by flipped zeros and kept ones, one popcount on each side of the prior."""
     offsets = [0] * ((big_l0 + 1) * (big_l1 + 1))
     total = 0
-    for cls in _sorted_classes_cached(p01, p10, big_l0, big_l1):
-        offsets[cls.l0 * (big_l1 + 1) + big_l1 - cls.l1] = total
-        total += cls.count
+    for l0, l1 in classes:
+        offsets[l0 * (big_l1 + 1) + big_l1 - l1] = total
+        total += math.comb(big_l0, l0) * math.comb(big_l1, l1)
     return tuple(offsets)

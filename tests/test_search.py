@@ -10,7 +10,7 @@ from rlcgrand.pipeline import classify
 from rlcgrand.rlc import encode, make_generator, parity_check
 from rlcgrand.rng import random_bit_matrix
 from rlcgrand.search import OrderedSearch, SearchCore, lex_rank
-from rlcgrand.tgrand import LikelihoodOrder
+from rlcgrand import tgrand
 
 from oracles import first_hit, likelihood_order, syndrome_of_mask, weight_order
 
@@ -141,7 +141,10 @@ class TestWorkBound:
         prior = 0b0000111100110000
         orders = [
             (lambda: sd.weight_order(16), list(weight_order(16))),
-            (lambda: LikelihoodOrder(prior, 16, params), list(likelihood_order(prior, 16, params))),
+            (
+                lambda: tgrand.likelihood_order(prior, 16, params.p01, params.p10),
+                list(likelihood_order(prior, 16, params)),
+            ),
         ]
         for query_cap in (5, 1 << 20):
             for make, stream in orders:
@@ -161,7 +164,8 @@ class TestWorkBound:
         assert core.dim == 14
         stream = list(islice(weight_order(20), 1 << 15))  # holds every first hit here
         params = ChannelParams(p01=0.1, p10=0.3)
-        for order in (Counting(sd.weight_order(20)), Counting(LikelihoodOrder(0, 20, params))):
+        tg_order = tgrand.likelihood_order(0, 20, params.p01, params.p10)
+        for order in (Counting(sd.weight_order(20)), Counting(tg_order)):
             assert_within_bound(core, ht, order, stream, (0, 0b011111, 0b111111), 1 << 20)
             assert order.drawn == 1 << 14
             assert order.evaluated == 1 << 14

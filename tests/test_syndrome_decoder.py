@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlcgrand import gf2, rlc, syndrome_decoder as sd
+from rlcgrand import gf2, rlc, syndrome_decoder as sd, tgrand
 from rlcgrand.channel import ChannelParams
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import random_bit_matrix
-from rlcgrand.tgrand import LikelihoodOrder
 
 from oracles import (
     assert_repair_matches,
@@ -131,12 +130,26 @@ class TestWeightOrder:
             assert order.position(mask) == i + 1
             assert order.block(mask) == sum(per_weight[w] for w in range(mask.bit_count()))
 
-    def test_channel_params_past_one_half_reverse_it(self):
-        # At p01 > 1/2 the all-zero-prior likelihood order under the
-        # channel's own params runs heaviest first, so sd cannot use them.
-        masks = list(LikelihoodOrder(0, 4, ChannelParams(p01=0.9, p10=0.3)).masks())
-        assert masks != list(weight_order(4))
-        assert masks[0] == 0b1111
+    @pytest.mark.parametrize("l", range(7))
+    def test_channel_params_past_one_half_reverse_it(self, l):
+        # The channel's all-zero-prior order is sd's exactly when its class
+        # table is the weight table: at p01 <= 1/2, including the tie rule
+        # at p01 = 0 (eps = 0) and p01 = 1/2.  Past 1/2 it runs heaviest
+        # first, so sd cannot use the channel's params.
+        weights = tuple((w, 0) for w in range(l + 1))
+        sd_masks = list(sd.weight_order(l).masks())
+        for p01 in (0.0, 0.1, 0.5, 0.6, 0.9, 1.0):
+            for p10 in (0.3, 1.0):
+                masks = list(tgrand.likelihood_order(0, l, p01, p10).masks())
+                table = tuple(
+                    (c.l0, c.l1) for c in tgrand.sorted_classes(ChannelParams(p01, p10), l, 0)
+                )
+                if p01 <= 0.5:
+                    assert masks == sd_masks
+                    assert table == weights
+                elif l >= 1:
+                    assert masks != sd_masks
+                    assert masks[0] == (1 << l) - 1
 
 
 class TestRepair:

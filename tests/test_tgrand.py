@@ -109,7 +109,17 @@ class TestEnumeration:
             ColumnPrior.from_bits([prior_mask >> j & 1 for j in range(length)]), params
         )
         masks = [sum(bit << j for j, bit in enumerate(bits)) for bits in stream]
-        assert masks == list(likelihood_order(prior_mask, length, params))
+        oracle = list(likelihood_order(prior_mask, length, params))
+        assert masks == oracle
+        # The order's closed forms: each mask's 1-based index in the
+        # oracle, and the index of the first mask of its (l0, l1) class.
+        order = tgrand.likelihood_order(prior_mask, length, p01, p10)
+        first_of_class = {}
+        for i, mask in enumerate(oracle):
+            cls = ((mask & ~prior_mask).bit_count(), (prior_mask & ~mask).bit_count())
+            first_of_class.setdefault(cls, i)
+            assert order.position(mask) == i + 1
+            assert order.block(mask) == first_of_class[cls]
 
     def test_completeness_at_twelve_unknowns(self):
         prior = ColumnPrior.from_bits((1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1))
