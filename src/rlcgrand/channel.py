@@ -60,18 +60,6 @@ class ChannelParams:
         if not 0.0 < self.p10 <= 1.0:
             raise ValueError(f"p10 must be in (0, 1], got {self.p10}")
 
-    @property
-    def eps(self) -> float:
-        """Steady-state bit error probability p01/(p01+p10)."""
-        if self.p01 == 0.0:
-            return 0.0
-        return self.p01 / (self.p01 + self.p10)
-
-    @property
-    def burst_len(self) -> float:
-        """Mean length of an error burst, 1/p10."""
-        return 1.0 / self.p10
-
     @classmethod
     def from_eps_lambda(cls, eps: float, burst_len: float) -> "ChannelParams":
         """Invert (eps, burst length) to (p01, p10): p10 = 1/Λ, p01 = ε/(Λ(1-ε))."""

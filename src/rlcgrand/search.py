@@ -28,9 +28,9 @@ the column unresolved at a cost of min(2^L, cap) queries, exactly as if
 the order had been walked to the cap.
 
 One loop (`repair_columns`) solves the B columns of a system left to
-right.  A decoder supplies only the search for each column, given the
-previous column's estimate: the syndrome decoder ignores it and uses one
-search throughout, transversal GRAND keeps one search per prior.
+right.  A decoder supplies only the order for each column's prior (the
+previous column's estimate), and the system keeps one search per order,
+so every column and decoder that names an equal order shares its scan.
 """
 
 from __future__ import annotations
@@ -117,23 +117,31 @@ class SyndromeSystem:
 
     The columns of ht are eliminated (`core`) and s is split into its B
     column targets (`targets`) once, when the system is built, so every
-    repair run on the system shares that work.
+    repair run on the system shares that work; `search` shares each order's search.
     """
 
     ht: BitMatrix
     s: BitMatrix
     core: SearchCore = field(init=False, repr=False, compare=False)
     targets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _searches: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s.rows != self.ht.rows:
             raise ValueError("syndrome row count must match parity-check row count")
         object.__setattr__(self, "core", SearchCore(self.ht.col_ints()))
         object.__setattr__(self, "targets", self.s.col_ints())
+        object.__setattr__(self, "_searches", {})
 
-    @property
-    def num_unknowns(self) -> int:
-        return self.ht.cols
+    def search(self, order: CandidateOrder, query_cap: int) -> OrderedSearch:
+        """The one search in `order` under `query_cap`.  It holds the core, never
+        the system, so no reference cycle keeps a used system alive."""
+        search = self._searches.get((order, query_cap))
+        if search is None:
+            if query_cap < 1:
+                raise ValueError(f"query cap must be at least 1, got {query_cap}")
+            search = self._searches[order, query_cap] = OrderedSearch(self.core, order, query_cap)
+        return search
 
 
 class OrderedSearch:
@@ -206,20 +214,24 @@ class RepairResult:
 
 
 def repair_columns(
-    targets: Sequence[int], unknowns: int, search_for: Callable[[int], OrderedSearch]
+    system: SyndromeSystem, order_for: Callable[[int], CandidateOrder], query_cap: int
 ) -> RepairResult:
-    """Solve the columns left to right; ``search_for(prior)`` gives the search
+    """Solve the columns left to right; ``order_for(prior)`` gives the order
     for a column whose predecessor was estimated as ``prior``.
 
     The prior of the first column is 0.  An unresolved column is left
     all-zero, so the next column's prior is 0 again.
     """
+    searches: dict[int, OrderedSearch] = {}
     out_cols: list[int] = []
     queries: list[int] = []
     unresolved: list[int] = []
     prior = 0
-    for b, target in enumerate(targets):
-        mask, q = search_for(prior).find(target)
+    for b, target in enumerate(system.targets):
+        search = searches.get(prior)
+        if search is None:
+            search = searches[prior] = system.search(order_for(prior), query_cap)
+        mask, q = search.find(target)
         queries.append(q)
         if mask is None:
             unresolved.append(b)
@@ -227,7 +239,7 @@ def repair_columns(
         out_cols.append(mask)
         prior = mask
     return RepairResult(
-        e_hat=BitMatrix.trusted(len(targets), unknowns, tuple(out_cols)).transpose(),
+        e_hat=BitMatrix.trusted(len(out_cols), system.ht.cols, tuple(out_cols)).transpose(),
         unresolved=tuple(unresolved),
         queries_per_column=tuple(queries),
     )

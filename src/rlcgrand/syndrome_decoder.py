@@ -8,23 +8,19 @@ consistent with that syndrome.  Candidates are queried in weight order
 reproducible; a query cap bounds the search per column.
 
 This is `tgrand.LikelihoodOrder` at the all-zero prior with the weight
-class table ((0, 0), (1, 0), ..., (L, 0)), one search for every column
-through the shared search (`search.py`).  The estimate and the query
-count equal those of walking the weight order to the first hit, or to
-the cap.
+class table ((0, 0), (1, 0), ..., (L, 0)), one search for every column,
+which tgrand shares wherever its order is this one (`search.py`).  The
+estimate and the query count equal those of walking the weight order to
+the first hit, or to the cap.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 from . import gf2
 from .gf2 import BitMatrix
 from .rlc import ParityCheck
-from .search import (
-    DEFAULT_QUERY_CAP, OrderedSearch, RepairResult, SyndromeSystem, repair_columns,
-)
-from .tgrand import LikelihoodOrder
+from .search import DEFAULT_QUERY_CAP, RepairResult, SyndromeSystem, repair_columns
+from .tgrand import LikelihoodOrder, table_order
 
 
 def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
@@ -32,11 +28,10 @@ def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
     return gf2.matmul(h.matrix.transpose(), y)
 
 
-@cache
 def weight_order(l: int) -> LikelihoodOrder:
     """sd's candidate order over L unknowns: weight 0, 1, 2, ...; supports
     in lexicographic order within a weight."""
-    return LikelihoodOrder(0, l, tuple((w, 0) for w in range(l + 1)))
+    return table_order(0, l, tuple((w, 0) for w in range(l + 1)))
 
 
 def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> RepairResult:
@@ -46,6 +41,5 @@ def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> Rep
     in `unresolved`.  The weight order ignores the previous column, so
     one search serves every target.
     """
-    l = system.num_unknowns
-    search = OrderedSearch(system.core, weight_order(l), query_cap)
-    return repair_columns(system.targets, l, lambda prior: search)
+    order = weight_order(system.ht.cols)
+    return repair_columns(system, lambda prior: order, query_cap)

@@ -27,24 +27,26 @@ where flips0 and flips1 are the flipped zero and one positions.  The
 estimate and the reported query count equal those of walking the order
 to the first hit, or to the query cap.
 
-An order is a prior plus its class table.  `likelihood_order` takes the
-table of the channel's (p01, p10); syndrome decoding takes the all-zero
-prior with the weight table ((0, 0), (1, 0), ..., (L, 0)).
+An order is a prior plus its class table, one object per (prior, L,
+table) (`table_order`).  `likelihood_order` takes the table of the
+channel's (p01, p10); syndrome decoding takes the all-zero prior with the
+weight table ((0, 0), (1, 0), ..., (L, 0)), and shares a system's search
+with tgrand wherever the two tables agree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, repeat
 from typing import Iterator, Sequence
 
 from .channel import ChannelParams
 from .gf2 import BitMatrix
 from .search import (
-    DEFAULT_QUERY_CAP, OrderedSearch, RepairResult, SearchCore, SyndromeSystem, bits_to_mask,
-    lex_rank, mask_to_bits, repair_columns,
+    DEFAULT_QUERY_CAP, RepairResult, SyndromeSystem, bits_to_mask, lex_rank, mask_to_bits,
+    repair_columns,
 )
 
 # Two class probabilities tie when their logs agree to this tolerance;
@@ -176,10 +178,9 @@ def tg_solve_column(
     """First candidate (in likelihood order) with ht·wᵀ = s, or None at the cap."""
     if prior.length != ht.cols:
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
-    if len(s) != ht.rows:
-        raise ValueError(f"syndrome length {len(s)} does not match {ht.rows} checks")
+    system = SyndromeSystem(ht=ht, s=BitMatrix(len(s), 1, s))
     order = likelihood_order(bits_to_mask(prior.prev), ht.cols, params.p01, params.p10)
-    mask, _ = OrderedSearch(SearchCore(ht.col_ints()), order, query_cap).find(bits_to_mask(s))
+    mask, _ = system.search(order, query_cap).find(system.targets[0])
     return None if mask is None else mask_to_bits(mask, ht.cols)
 
 
@@ -194,14 +195,8 @@ def tg_repair(
     from the all-zero prior.  Columns with the same prior share one
     search, so a repeated (prior, target) pair is answered from memory.
     """
-    l = system.num_unknowns
-
-    @cache
-    def search_for(prior: int) -> OrderedSearch:
-        order = likelihood_order(prior, l, params.p01, params.p10)
-        return OrderedSearch(system.core, order, query_cap)
-
-    return repair_columns(system.targets, l, search_for)
+    order_for = partial(likelihood_order, l=system.ht.cols, p01=params.p01, p10=params.p10)
+    return repair_columns(system, order_for, query_cap)
 
 
 class LikelihoodOrder:
@@ -256,12 +251,17 @@ class LikelihoodOrder:
         )
 
 
-@lru_cache(maxsize=1024)
 def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> LikelihoodOrder:
-    """The channel's `LikelihoodOrder` for (prior, L), shared by every
-    repair: orders are immutable and the same priors recur across systems."""
+    """The channel's `LikelihoodOrder` for (prior, L)."""
     ones = prior_mask.bit_count()
-    return LikelihoodOrder(prior_mask, l, _class_table(p01, p10, l - ones, ones))
+    return table_order(prior_mask, l, _class_table(p01, p10, l - ones, ones))
+
+
+@lru_cache(maxsize=4096)
+def table_order(prior_mask: int, l: int, classes: tuple[tuple[int, int], ...]) -> LikelihoodOrder:
+    """The one `LikelihoodOrder` for (prior, L, class table): orders are
+    immutable, and decoders whose tables agree share a system's search."""
+    return LikelihoodOrder(prior_mask, l, classes)
 
 
 @lru_cache(maxsize=4096)

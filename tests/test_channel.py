@@ -15,7 +15,7 @@ class TestParams:
     def test_error_free(self):
         p = ChannelParams.from_eps_lambda(0.0, 1.0)
         assert p.p01 == 0.0 and p.p10 == 1.0
-        assert p.eps == 0.0 and p.burst_len == 1.0
+        assert p.p01 / (p.p01 + p.p10) == 0.0 and 1.0 / p.p10 == 1.0
 
     def test_derived_values(self):
         p = ChannelParams.from_eps_lambda(0.03, 3.0)
@@ -30,8 +30,9 @@ class TestParams:
     @given(st.floats(0.0, 0.45), st.floats(1.0, 50.0))
     def test_round_trip(self, eps, lam):
         p = ChannelParams.from_eps_lambda(eps, lam)
-        assert p.eps == pytest.approx(eps, abs=1e-12)
-        assert p.burst_len == pytest.approx(lam, abs=1e-12 * lam)
+        # eps = p01/(p01+p10) and the mean burst length is 1/p10.
+        assert p.p01 / (p.p01 + p.p10) == pytest.approx(eps, abs=1e-12)
+        assert 1.0 / p.p10 == pytest.approx(lam, abs=1e-12 * lam)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

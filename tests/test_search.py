@@ -1,5 +1,8 @@
+import gc
+import weakref
 from itertools import combinations, islice
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -169,3 +172,57 @@ class TestWorkBound:
             assert_within_bound(core, ht, order, stream, (0, 0b011111, 0b111111), 1 << 20)
             assert order.drawn == 1 << 14
             assert order.evaluated == 1 << 14
+
+
+class TestSystemSearch:
+    """A system makes one search per (order, cap), shared by every repair."""
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_rejected(self, cap):
+        ht = random_bit_matrix(1, 2, 3)
+        system = sd.SyndromeSystem(ht=ht, s=random_bit_matrix(2, 2, 4))
+        params = ChannelParams(p01=0.1, p10=0.3)
+        prior = tgrand.ColumnPrior.from_bits((0, 0, 0))
+        with pytest.raises(ValueError, match="query cap must be at least 1"):
+            sd.sd_repair(system, cap)
+        with pytest.raises(ValueError, match="query cap must be at least 1"):
+            tgrand.tg_repair(system, params, cap)
+        with pytest.raises(ValueError, match="query cap must be at least 1"):
+            tgrand.tg_solve_column(ht, (1, 0), prior, params, cap)
+
+    @pytest.mark.parametrize("hseed", range(4))
+    @pytest.mark.parametrize("query_cap", [3, 1 << 20])
+    @pytest.mark.parametrize("p01", [0.05, 0.5, 0.95])
+    def test_run_order_does_not_matter(self, p01, query_cap, hseed):
+        # 5 checks over 8 unknowns: some targets are out of reach, some are
+        # hit by the scan and some lie past 2^d, so the rank step runs.  At
+        # p01 = 0.95 the decoders' all-zero-prior orders differ and each
+        # keeps its own search; below 1/2 they share one.
+        ht = random_bit_matrix(hseed, 5, 8)
+        s = random_bit_matrix(hseed + 100, 5, 24)
+        params = ChannelParams(p01=p01, p10=0.3)
+        runs = (
+            lambda system: sd.sd_repair(system, query_cap),
+            lambda system: tgrand.tg_repair(system, params, query_cap),
+        )
+        expected = [run(sd.SyndromeSystem(ht=ht, s=s)) for run in runs]
+        for first, second in ((0, 1), (1, 0)):
+            system = sd.SyndromeSystem(ht=ht, s=s)
+            assert runs[first](system) == expected[first]
+            assert runs[second](system) == expected[second]
+
+    def test_repairs_leave_no_reference_cycle(self):
+        # The system holds its searches and each search holds the core,
+        # never the system, so refcounting alone frees a used system.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            system = sd.SyndromeSystem(ht=random_bit_matrix(1, 5, 8), s=random_bit_matrix(2, 5, 24))
+            sd.sd_repair(system)
+            tgrand.tg_repair(system, ChannelParams(p01=0.1, p10=0.3))
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()

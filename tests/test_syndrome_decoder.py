@@ -135,21 +135,28 @@ class TestWeightOrder:
         # The channel's all-zero-prior order is sd's exactly when its class
         # table is the weight table: at p01 <= 1/2, including the tie rule
         # at p01 = 0 (eps = 0) and p01 = 1/2.  Past 1/2 it runs heaviest
-        # first, so sd cannot use the channel's params.
+        # first, so sd cannot use the channel's params.  A system shares
+        # sd's search with the channel's all-zero-prior one exactly then.
         weights = tuple((w, 0) for w in range(l + 1))
         sd_masks = list(sd.weight_order(l).masks())
+        system = sd.SyndromeSystem(ht=random_bit_matrix(l, 3, l), s=BitMatrix.zeros(3, 2))
+        cap = sd.DEFAULT_QUERY_CAP
+        sd_search = system.search(sd.weight_order(l), cap)
         for p01 in (0.0, 0.1, 0.5, 0.6, 0.9, 1.0):
             for p10 in (0.3, 1.0):
                 masks = list(tgrand.likelihood_order(0, l, p01, p10).masks())
                 table = tuple(
                     (c.l0, c.l1) for c in tgrand.sorted_classes(ChannelParams(p01, p10), l, 0)
                 )
+                tg_search = system.search(tgrand.likelihood_order(0, l, p01, p10), cap)
                 if p01 <= 0.5:
                     assert masks == sd_masks
                     assert table == weights
+                    assert tg_search is sd_search
                 elif l >= 1:
                     assert masks != sd_masks
                     assert masks[0] == (1 << l) - 1
+                    assert tg_search is not sd_search
 
 
 class TestRepair:
