@@ -16,11 +16,13 @@ H_R̄ᵀ, eliminated once), and both repairs run on it.  A decoder's
 ``wall_seconds`` is the time spent on its outcome: the shared attempt is
 timed once and charged in full to every decoder, the syndrome system's
 build is timed once and charged in full to each repairing decoder, and
-each repairing decoder adds its own repair and re-decode, so the three
-columns stay comparable.  The attempt's share includes reducing the
-clean rows once; each re-decode extends a copy of that reduction with
-only its own promoted rows, and that work is in its decoder's share.
-Trial generation (data, generator, channel) is charged to none.
+each repairing decoder adds its own repair and re-decode.  The attempt's
+share includes reducing the clean rows once; each re-decode extends a
+copy of that reduction with only its own promoted rows, and that work is
+in its decoder's share.  Trial generation (data, generator, channel) is
+charged to none.  At p01 <= 1/2 sd's order is tgrand's at the all-zero
+prior, and the system's one search in it is charged only to the decoder
+run first, so the sd and tgrand columns are not standalone costs.
 
 Trials run in chunks of _CHUNK per N, serially or on a process pool.  A
 chunk generates its trials in passes of at most _BATCH_BITS channel bits

@@ -9,9 +9,9 @@ reproducible; a query cap bounds the search per column.
 
 This is `tgrand.LikelihoodOrder` at the all-zero prior with the weight
 class table ((0, 0), (1, 0), ..., (L, 0)), one search for every column,
-which tgrand shares wherever its order is this one (`search.py`).  The
-estimate and the query count equal those of walking the weight order to
-the first hit, or to the cap.
+which tgrand shares wherever its order equals this one (`search.py`).
+The estimate and the query count equal those of walking the weight
+order to the first hit, or to the cap.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import gf2
 from .gf2 import BitMatrix
 from .rlc import ParityCheck
 from .search import DEFAULT_QUERY_CAP, RepairResult, SyndromeSystem, repair_columns
-from .tgrand import LikelihoodOrder, table_order
+from .tgrand import LikelihoodOrder
 
 
 def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
@@ -31,7 +31,7 @@ def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
 def weight_order(l: int) -> LikelihoodOrder:
     """sd's candidate order over L unknowns: weight 0, 1, 2, ...; supports
     in lexicographic order within a weight."""
-    return table_order(0, l, tuple((w, 0) for w in range(l + 1)))
+    return LikelihoodOrder(0, l, tuple((w, 0) for w in range(l + 1)))
 
 
 def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> RepairResult:

@@ -27,8 +27,8 @@ where flips0 and flips1 are the flipped zero and one positions.  The
 estimate and the reported query count equal those of walking the order
 to the first hit, or to the query cap.
 
-An order is a prior plus its class table, one object per (prior, L,
-table) (`table_order`).  `likelihood_order` takes the table of the
+An order is a prior plus its class table, equal to any order with the
+same (prior, L, table).  `likelihood_order` takes the table of the
 channel's (p01, p10); syndrome decoding takes the all-zero prior with the
 weight table ((0, 0), (1, 0), ..., (L, 0)), and shares a system's search
 with tgrand wherever the two tables agree.
@@ -178,7 +178,7 @@ def tg_solve_column(
     """First candidate (in likelihood order) with ht·wᵀ = s, or None at the cap."""
     if prior.length != ht.cols:
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
-    system = SyndromeSystem(ht=ht, s=BitMatrix(len(s), 1, s))
+    system = SyndromeSystem(ht=ht, s=BitMatrix.trusted(len(s), 1, tuple(b & 1 for b in s)))
     order = likelihood_order(bits_to_mask(prior.prev), ht.cols, params.p01, params.p10)
     mask, _ = system.search(order, query_cap).find(system.targets[0])
     return None if mask is None else mask_to_bits(mask, ht.cols)
@@ -210,6 +210,8 @@ class LikelihoodOrder:
     """
 
     def __init__(self, prior_mask: int, l: int, classes: tuple[tuple[int, int], ...]):
+        self._key = (prior_mask, l, classes)
+        self._hash = hash(self._key)
         self._prior = prior_mask
         self._zeros = ~prior_mask & ((1 << l) - 1)
         self._classes = classes
@@ -217,6 +219,12 @@ class LikelihoodOrder:
         self._one_bits = [1 << j for j in range(l) if prior_mask >> j & 1]
         self._stride = len(self._one_bits) + 1
         self._offsets = _class_offsets(classes, len(self._zero_bits), len(self._one_bits))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LikelihoodOrder) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def masks(self) -> Iterator[int]:
         prior, zero_bits, one_bits = self._prior, self._zero_bits, self._one_bits
@@ -251,17 +259,11 @@ class LikelihoodOrder:
         )
 
 
+@lru_cache(maxsize=1024)
 def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> LikelihoodOrder:
-    """The channel's `LikelihoodOrder` for (prior, L)."""
+    """The channel's `LikelihoodOrder` for (prior, L); priors recur across systems."""
     ones = prior_mask.bit_count()
-    return table_order(prior_mask, l, _class_table(p01, p10, l - ones, ones))
-
-
-@lru_cache(maxsize=4096)
-def table_order(prior_mask: int, l: int, classes: tuple[tuple[int, int], ...]) -> LikelihoodOrder:
-    """The one `LikelihoodOrder` for (prior, L, class table): orders are
-    immutable, and decoders whose tables agree share a system's search."""
-    return LikelihoodOrder(prior_mask, l, classes)
+    return LikelihoodOrder(prior_mask, l, _class_table(p01, p10, l - ones, ones))
 
 
 @lru_cache(maxsize=4096)

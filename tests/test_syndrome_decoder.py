@@ -136,12 +136,15 @@ class TestWeightOrder:
         # table is the weight table: at p01 <= 1/2, including the tie rule
         # at p01 = 0 (eps = 0) and p01 = 1/2.  Past 1/2 it runs heaviest
         # first, so sd cannot use the channel's params.  A system shares
-        # sd's search with the channel's all-zero-prior one exactly then.
+        # sd's search with the channel's all-zero-prior one exactly then,
+        # by value: a separately built equal order finds the same search.
         weights = tuple((w, 0) for w in range(l + 1))
         sd_masks = list(sd.weight_order(l).masks())
         system = sd.SyndromeSystem(ht=random_bit_matrix(l, 3, l), s=BitMatrix.zeros(3, 2))
         cap = sd.DEFAULT_QUERY_CAP
         sd_search = system.search(sd.weight_order(l), cap)
+        assert system.search(tgrand.LikelihoodOrder(0, l, weights), cap) is sd_search
+        assert system.search(sd.weight_order(l), cap + 1) is not sd_search
         for p01 in (0.0, 0.1, 0.5, 0.6, 0.9, 1.0):
             for p10 in (0.3, 1.0):
                 masks = list(tgrand.likelihood_order(0, l, p01, p10).masks())
