@@ -12,8 +12,11 @@ at a time, for ten pairs, alternating which side runs first (the parent
 goes first in even pairs).
 
 For every end-to-end metric declared in ``BENCHMARK.json`` it prints each
-side's median and quartiles and the number of pairs the change won (ties
-count for neither side), and it writes ``BENCH_<pr>.json`` at the
+side's median and quartiles, the number of pairs the change won (ties
+count for neither side), the change's median shift relative to the
+parent's (positive is better) and whether that shift is worse than the
+metric's ``bound``.  It also prints each side's attempted and failed
+operations, summed over its runs.  It writes ``BENCH_<pr>.json`` at the
 repository root with every run's metrics, digest and correctness.  Each
 side is identified by the git tree hash of its ``src/``, which for the
 working tree is computed from the files on disk, so a record made before
@@ -25,8 +28,10 @@ records digest: at a seed with no entry in ``perfbench/digests.json``
 that comparison is the only proof that the change's records equal the
 parent's.  Each benchmark's summary records the outcome under
 ``digests``; differing digests are printed.  The script exits 1 if any
-run was not correct or any (workload, seed) produced more than one
-digest.
+run was not correct, any (workload, seed) produced more than one digest,
+or, at any (workload, seed), a metric is worse than its bound or the
+change failed a larger share of its operations than the parent: the
+verdict the benchmark's pipeline applies to a change.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "benchmarks": [],
     }
-    all_correct = identical = True
+    all_correct = identical = within_bounds = True
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         parent = Path(tmp)
         archive = subprocess.run(
@@ -81,6 +86,7 @@ def main(argv=None) -> int:
                 summary = _summarise(runs, declared)
                 summary["digests"] = _compare_digests(runs)
                 identical &= summary["digests"]["identical"]
+                within_bounds &= not summary["worse"]
                 record["benchmarks"].append(
                     {"workload": workload, "seed": seed, "summary": summary, "runs": runs}
                 )
@@ -89,7 +95,7 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
-    return 0 if all_correct and identical else 1
+    return 0 if all_correct and identical and within_bounds else 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -142,7 +148,10 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _summarise(runs: list[dict], declared: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
+    """Per metric: each side's median and quartiles, the change's wins, and
+    its median shift against its bound.  Per side: the operations attempted
+    and failed.  Under ``worse``: each metric worse than its bound, and
+    "failed share" if the change failed a larger share than the parent."""
     summary = {}
     for m in declared:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
@@ -160,8 +169,25 @@ def _summarise(runs: list[dict], declared: list[dict]) -> dict:
         entry["parent_wins"] = sum(sign * (p["parent"] - p["change"]) > 0 for p in complete)
         for side, vals in values.items():
             entry[side] = _spread(vals)
+        if entry["parent"] and entry["change"]:
+            parent, change = entry["parent"]["median"], entry["change"]["median"]
+            entry["shift"] = sign * (change - parent) / parent
+            entry["worse_than_bound"] = entry["shift"] < -m["bound"]
         summary[name] = entry
+    ops = {
+        side: {key: sum(r.get(key, 0) for r in runs if r["side"] == side)
+               for key in ("attempted", "failed")}
+        for side in ("parent", "change")
+    }
+    summary["worse"] = [name for name, e in summary.items() if e.get("worse_than_bound")]
+    if _failed_share(ops["change"]) > _failed_share(ops["parent"]):
+        summary["worse"].append("failed share")
+    summary["operations"] = ops
     return summary
+
+
+def _failed_share(ops: dict) -> float:
+    return ops["failed"] / ops["attempted"] if ops["attempted"] else 0.0
 
 
 def _compare_digests(runs: list[dict]) -> dict:
@@ -191,8 +217,11 @@ def _print_summary(workload: str, seed: int, summary: dict) -> None:
     else:
         for side in ("parent", "change"):
             print(f"  records DIFFER, {side} digests (runs): {digests[side]}")
+    for side in ("parent", "change"):
+        ops = summary["operations"][side]
+        print(f"  {side} operations: {ops['attempted']} attempted, {ops['failed']} failed")
     for name, s in summary.items():
-        if name == "digests":
+        if name in ("digests", "operations", "worse"):
             continue
         p, c = s["parent"], s["change"]
         if not p or not c:
@@ -201,7 +230,10 @@ def _print_summary(workload: str, seed: int, summary: dict) -> None:
         print(f"  {name} ({s['unit']}, {s['better']} is better): "
               f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
-              f"change won {s['change_wins']}/{s['pairs']}", flush=True)
+              f"change won {s['change_wins']}/{s['pairs']}  shift {s['shift']:+.1%}"
+              f"{'  WORSE THAN BOUND' if s['worse_than_bound'] else ''}", flush=True)
+    if summary["worse"]:
+        print(f"  worse than the parent: {', '.join(summary['worse'])}", flush=True)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ the syndrome s.  Both receivers solve one linear system ht·w = t per bit
 position by querying candidate error columns w in a fixed order and
 keeping the first that satisfies the syndrome; they differ only in that
 order.  A decoder describes its order (`CandidateOrder`) by a generator
-of candidate masks in query order and the closed-form position of any
-mask in that order.
+of candidate masks in query order and a rule that picks, from any set of
+masks, the one it queries first, with its position.
 
 The solutions of one column form a coset x0 + ker(ht) of dimension
 d = L - rank(ht).  Eliminating the columns of ht once per system, with a
@@ -18,10 +18,8 @@ steps:
   The first position of every syndrome seen is memoised, so later targets
   in the same order continue the scan instead of restarting it;
 - rank: if the scan found no hit and 2^d < cap, the first hit lies past
-  position 2^d; it is the coset member with the smallest position.  The
-  order is blocked (likelihood classes; weight layers for the syndrome
-  decoder), so only the members in the earliest block need their full
-  position.
+  position 2^d; it is the coset member that the order queries first
+  (`CandidateOrder.first`).
 
 A hit past the cap, or a target outside the column space of ht, leaves
 the column unresolved at a cost of min(2^L, cap) queries, exactly as if
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from math import comb
 from typing import Callable, Iterator, Protocol, Sequence
 
 from .gf2 import BitMatrix
@@ -55,11 +52,8 @@ class CandidateOrder(Protocol):
     def masks(self) -> Iterator[int]:
         """Every candidate mask, in query order."""
 
-    def block(self, mask: int) -> int:
-        """Number of candidates queried before the block that holds `mask`."""
-
-    def position(self, mask: int) -> int:
-        """1-based query position of `mask`."""
+    def first(self, masks: Sequence[int]) -> tuple[int, int]:
+        """(1-based query position, mask) of the mask in `masks` queried first."""
 
 
 class SearchCore:
@@ -148,8 +142,8 @@ class OrderedSearch:
     """First-hit lookups in one candidate order, memoised per target.
 
     Work bound: the scan tests at most min(2^d, query_cap) candidates in
-    all, shared by every target; a target the scan misses costs at most
-    2^d block and 2^d position evaluations more.
+    all, shared by every target; a target the scan misses hands its 2^d
+    coset members to the order's `first`.
     """
 
     def __init__(self, core: SearchCore, order: CandidateOrder, query_cap: int):
@@ -189,12 +183,7 @@ class OrderedSearch:
         self._scanned = n
         if self._scan_limit == self._query_cap:  # the scan walked the whole capped prefix
             return None, self._miss_cost
-        members = core.coset(x0)
-        blocks = [self._order.block(m) for m in members]
-        first = min(blocks)
-        pos, mask = min(
-            (self._order.position(m), m) for m, b in zip(members, blocks) if b == first
-        )
+        pos, mask = self._order.first(core.coset(x0))
         if pos > self._query_cap:
             return None, self._miss_cost
         return mask, pos
@@ -243,34 +232,6 @@ def repair_columns(
         unresolved=tuple(unresolved),
         queries_per_column=tuple(queries),
     )
-
-
-def bits_to_mask(bits: Sequence[int]) -> int:
-    mask = 0
-    for i, bit in enumerate(bits):
-        mask |= (bit & 1) << i
-    return mask
-
-
-def mask_to_bits(mask: int, length: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(length))
-
-
-def lex_rank(mask: int, side: int, k: int) -> int:
-    """0-based rank of a k-subset of the set bits of `side`, in combinations order.
-
-    `mask` selects k of the n set bits of `side`; the order is that of
-    itertools.combinations over those bits taken in ascending position,
-    i.e. lexicographic by their index among them.
-    """
-    n = side.bit_count()
-    r = comb(n, k) - 1
-    while mask:
-        low = mask & -mask
-        r -= comb(n - 1 - (side & (low - 1)).bit_count(), k)
-        k -= 1
-        mask ^= low
-    return r
 
 
 def _syndrome_function(cols: Sequence[int]) -> Callable[[int], int]:

@@ -40,6 +40,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -192,15 +193,15 @@ def run_trial(config: SimConfig, n: int, decoder: str, trial_index: int) -> Deco
 
 
 def _run_chunk(config: SimConfig, n: int, start: int, stop: int):
-    """Per-decoder (successes, queries, seconds) sums over a trial range."""
-    sums = {d: [0, 0, 0.0] for d in config.decoders}
+    """(successes, queries, seconds) sums over a trial range, keyed by (decoder, N)."""
+    sums = {(d, n): [0, 0, 0.0] for d in config.decoders}
     for gen, batch in _trials(config, n, start, stop):
         for d, out, seconds in _trial_outcomes(config, gen, batch, config.decoders):
-            cell = sums[d]
+            cell = sums[d, n]
             cell[0] += 1 if out.success else 0
             cell[1] += out.queries_total
             cell[2] += seconds
-    return n, sums
+    return sums
 
 
 def _worker_count(requested: int, spans: int, cpus: int | None) -> int:
@@ -222,42 +223,33 @@ def run_experiment(config: SimConfig) -> list[SimRecord]:
     ]
     columns = list(zip(*spans))
     workers = _worker_count(config.workers, len(spans), os.cpu_count())
-    if workers == 1:
-        results = list(map(_run_chunk, repeat(config), *columns))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, repeat(config), *columns))
+    # The records come out in this order: DECODERS order, then ascending N.
     totals: dict[tuple[str, int], list] = {
-        (d, n): [0, 0, 0.0] for d in config.decoders for n in config.n_list
+        (d, n): [0, 0, 0.0] for d in DECODERS if d in config.decoders for n in sorted(config.n_list)
     }
-    for n, sums in results:
-        for d, (succ, q, w) in sums.items():
-            cell = totals[(d, n)]
-            cell[0] += succ
-            cell[1] += q
-            cell[2] += w
-    records = []
-    for d in DECODERS:
-        if d not in config.decoders:
-            continue
-        for n in sorted(config.n_list):
-            succ, q, w = totals[(d, n)]
-            records.append(
-                SimRecord(
-                    decoder=d,
-                    k=config.k,
-                    n=n,
-                    b=config.b,
-                    eps=config.eps,
-                    burst_len=config.burst_len,
-                    trials=config.trials,
-                    successes=succ,
-                    decoding_probability=succ / config.trials,
-                    mean_queries=q / config.trials,
-                    wall_seconds=w,
-                )
-            )
-    return records
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for sums in (pool.map if pool else map)(_run_chunk, repeat(config), *columns):
+            for key, (succ, q, w) in sums.items():
+                cell = totals[key]
+                cell[0] += succ
+                cell[1] += q
+                cell[2] += w
+    return [
+        SimRecord(
+            decoder=d,
+            k=config.k,
+            n=n,
+            b=config.b,
+            eps=config.eps,
+            burst_len=config.burst_len,
+            trials=config.trials,
+            successes=succ,
+            decoding_probability=succ / config.trials,
+            mean_queries=q / config.trials,
+            wall_seconds=w,
+        )
+        for (d, n), (succ, q, w) in totals.items()
+    ]
 
 
 def emit_csv(records: list[SimRecord], out_path) -> None:

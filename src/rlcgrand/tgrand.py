@@ -17,15 +17,17 @@ the chains start in the good state.
 The first hit is found with the shared search core (`search.py`) rather
 than by testing every candidate in turn.  The solutions of one column
 form a coset of dimension d = L - rank(ht).  The core tests at most 2^d
-candidates in likelihood order; if none hits, the first hit is the coset
-member with the smallest position
+candidates in likelihood order; if none hits, it asks the order for the
+coset member it queries first (`LikelihoodOrder.first`).  A candidate's
+position is
 
     offset of class (l0, l1) in sorted_classes
     + lexrank(flips0)·C(L1, l1) + lexrank(flips1) + 1,
 
-where flips0 and flips1 are the flipped zero and one positions.  The
-estimate and the reported query count equal those of walking the order
-to the first hit, or to the query cap.
+where flips0 and flips1 are the flipped zero and one positions, so
+`first` looks up every member's class offset and computes full positions
+only in the earliest class.  The estimate and the reported query count
+equal those of walking the order to the first hit, or to the query cap.
 
 An order is a prior plus its class table, equal to any order with the
 same (prior, L, table).  `likelihood_order` takes the table of the
@@ -44,10 +46,7 @@ from typing import Iterator, Sequence
 
 from .channel import ChannelParams
 from .gf2 import BitMatrix
-from .search import (
-    DEFAULT_QUERY_CAP, RepairResult, SyndromeSystem, bits_to_mask, lex_rank, mask_to_bits,
-    repair_columns,
-)
+from .search import DEFAULT_QUERY_CAP, RepairResult, SyndromeSystem, repair_columns
 
 # Two class probabilities tie when their logs agree to this tolerance;
 # ties fall back to (l0+l1, l0) ordering so runs are reproducible.
@@ -242,18 +241,22 @@ class LikelihoodOrder:
                     for base in bases:
                         yield f0 ^ base
 
-    def block(self, mask: int) -> int:
-        return self._offsets[
-            (mask & self._zeros).bit_count() * self._stride + (mask & self._prior).bit_count()
+    def first(self, masks: Sequence[int]) -> tuple[int, int]:
+        zeros, prior, stride, offsets = self._zeros, self._prior, self._stride, self._offsets
+        starts = [
+            offsets[(m & zeros).bit_count() * stride + (m & prior).bit_count()] for m in masks
         ]
+        start = min(starts)
+        return min((self.position(m), m) for m, s in zip(masks, starts) if s == start)
 
     def position(self, mask: int) -> int:
+        """1-based query position of `mask`."""
         flips0 = mask & self._zeros
         flips1 = self._prior & ~mask
-        l1 = flips1.bit_count()
+        l0, l1 = flips0.bit_count(), flips1.bit_count()
         return (
-            self.block(mask)
-            + lex_rank(flips0, self._zeros, flips0.bit_count()) * math.comb(self._stride - 1, l1)
+            self._offsets[l0 * self._stride + (mask & self._prior).bit_count()]
+            + lex_rank(flips0, self._zeros, l0) * math.comb(self._stride - 1, l1)
             + lex_rank(flips1, self._prior, l1)
             + 1
         )
@@ -278,3 +281,31 @@ def _class_offsets(
         offsets[l0 * (big_l1 + 1) + big_l1 - l1] = total
         total += math.comb(big_l0, l0) * math.comb(big_l1, l1)
     return tuple(offsets)
+
+
+def bits_to_mask(bits: Sequence[int]) -> int:
+    mask = 0
+    for i, bit in enumerate(bits):
+        mask |= (bit & 1) << i
+    return mask
+
+
+def mask_to_bits(mask: int, length: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(length))
+
+
+def lex_rank(mask: int, side: int, k: int) -> int:
+    """0-based rank of a k-subset of the set bits of `side`, in combinations order.
+
+    `mask` selects k of the n set bits of `side`; the order is that of
+    itertools.combinations over those bits taken in ascending position,
+    i.e. lexicographic by their index among them.
+    """
+    n = side.bit_count()
+    r = math.comb(n, k) - 1
+    while mask:
+        low = mask & -mask
+        r -= math.comb(n - 1 - (side & (low - 1)).bit_count(), k)
+        k -= 1
+        mask ^= low
+    return r

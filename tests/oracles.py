@@ -8,12 +8,15 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 from rlcgrand import gf2
 from rlcgrand.gf2 import BitMatrix
-from rlcgrand.pipeline import DecodeOutcome
+from rlcgrand import simcli
+from rlcgrand.pipeline import DecodeOutcome, ReceivedBatch
 from rlcgrand.rng import SplitMix64, derive_seed
+from rlcgrand.search import RepairResult
 from rlcgrand.tgrand import sorted_classes
 
 
@@ -232,3 +235,80 @@ def trial_rows(k: int, n: int, b: int, p01: float, p10: float, master_seed: int,
     y = [[xb ^ eb for xb, eb in zip(xr, er)] for xr, er in zip(x, e)]
     r = [i for i in range(n) if not any(e[i])]
     return g, x, y, r
+
+
+def reference_trial(config, n: int, t: int) -> dict:
+    """decoder -> (outcome, per-column (mask or None, queries) first hits)
+    of simulator trial t at N = n, from the scalar oracles alone; the
+    first hits are None where no repair runs.
+
+    The rows come from `trial_rows` and R from the genie comparison.  The
+    plain attempt succeeds iff rank_by_row_space(G_R) = K.  When it fails
+    with N > K and some row corrupted, each repair solves the syndrome
+    system of H = [P | I_{N-K}]ᵀ by enumeration and `redecode_by_stacking`
+    re-decodes; otherwise every decoder returns the plain outcome.
+    """
+    k, b, p = config.k, config.b, config.channel_params
+    tags = (simcli._TAG_GEN, simcli._TAG_DATA, simcli._TAG_NOISE)
+    g, x, y, r = trial_rows(k, n, b, p.p01, p.p10, config.master_seed, t, tags)
+    rbar = [i for i in range(n) if i not in r]
+    gen = BitMatrix.from_rows(g, k)
+    rank = rank_by_row_space(gen.take_rows(r))
+    base = DecodeOutcome(
+        success=rank == k, u_hat=None, nu=0, queries_total=0, rank_before=rank, rank_after=rank
+    )
+    out = {"rlc": (base, None)}
+    if base.success or n == k or not rbar:
+        return {**out, "sd": (base, None), "tgrand": (base, None)}
+    # Row i of Hᵀ is (row K+i of G, e_i): it checks parity row K+i against
+    # the systematic rows, so Hᵀ·G = 0.
+    h_t = [g[k + i] + [int(j == i) for j in range(n - k)] for i in range(n - k)]
+    ht = BitMatrix.from_rows([[row[j] for j in rbar] for row in h_t], len(rbar))
+    s = BitMatrix.from_rows(
+        [[sum(row[j] & y[j][c] for j in range(n)) & 1 for c in range(b)] for row in h_t], b
+    )
+    batch = ReceivedBatch(
+        y=BitMatrix.from_rows(y, b), truth_x=BitMatrix.from_rows(x, b), r=tuple(r), rbar=tuple(rbar)
+    )
+    repairs = {
+        "sd": sd_repair_by_enumeration(ht, s, config.query_cap),
+        "tgrand": tg_repair_by_enumeration(ht, s, p, config.query_cap),
+    }
+    for decoder, hits in repairs.items():
+        e_hat = BitMatrix.from_rows(
+            [[(mask or 0) >> j & 1 for mask, _ in hits] for j in range(len(rbar))], b
+        )
+        queries = tuple(q for _, q in hits)
+        result = RepairResult(e_hat=e_hat, unresolved=(), queries_per_column=queries)
+        out[decoder] = (redecode_by_stacking(batch, SimpleNamespace(matrix=gen), base, result), hits)
+    return out
+
+
+def reference_records(config) -> list:
+    """`simcli.run_experiment`'s records, with wall_seconds 0, from
+    `reference_trial` over every (N, trial)."""
+    sums = {}
+    for n in config.n_list:
+        for t in range(config.trials):
+            for decoder, (outcome, _) in reference_trial(config, n, t).items():
+                cell = sums.setdefault((decoder, n), [0, 0])
+                cell[0] += outcome.success
+                cell[1] += outcome.queries_total
+    return [
+        simcli.SimRecord(
+            decoder=decoder,
+            k=config.k,
+            n=n,
+            b=config.b,
+            eps=config.eps,
+            burst_len=config.burst_len,
+            trials=config.trials,
+            successes=sums[decoder, n][0],
+            decoding_probability=sums[decoder, n][0] / config.trials,
+            mean_queries=sums[decoder, n][1] / config.trials,
+            wall_seconds=0.0,
+        )
+        for decoder in simcli.DECODERS
+        if decoder in config.decoders
+        for n in sorted(config.n_list)
+    ]

@@ -12,7 +12,7 @@ from rlcgrand.gf2 import BitMatrix
 from rlcgrand.pipeline import classify
 from rlcgrand.rlc import encode, make_generator, parity_check
 from rlcgrand.rng import random_bit_matrix
-from rlcgrand.search import OrderedSearch, SearchCore, lex_rank
+from rlcgrand.search import OrderedSearch, SearchCore
 from rlcgrand import tgrand
 
 from oracles import first_hit, likelihood_order, syndrome_of_mask, weight_order
@@ -58,7 +58,7 @@ class TestCoset:
         side = sum(1 << p for p in positions)
         for k in range(len(positions) + 1):
             for i, combo in enumerate(combinations(positions, k)):
-                assert lex_rank(sum(1 << p for p in combo), side, k) == i
+                assert tgrand.lex_rank(sum(1 << p for p in combo), side, k) == i
 
 
 class CountingWeightOrder:
@@ -67,19 +67,16 @@ class CountingWeightOrder:
     def __init__(self, length):
         self.stream = list(weight_order(length))
         self.drawn = 0
-        self.evaluated = 0
+        self.ranked = 0
 
     def masks(self):
         for mask in self.stream:
             self.drawn += 1
             yield mask
 
-    def block(self, mask):
-        self.evaluated += 1
-        return sum(1 for m in self.stream if m.bit_count() < mask.bit_count())
-
-    def position(self, mask):
-        return self.stream.index(mask) + 1
+    def first(self, masks):
+        self.ranked += len(masks)
+        return min((self.stream.index(m) + 1, m) for m in masks)
 
 
 class Counting:
@@ -88,29 +85,26 @@ class Counting:
     def __init__(self, order):
         self.order = order
         self.drawn = 0
-        self.evaluated = 0
+        self.ranked = 0
 
     def masks(self):
         for mask in self.order.masks():
             self.drawn += 1
             yield mask
 
-    def block(self, mask):
-        self.evaluated += 1
-        return self.order.block(mask)
-
-    def position(self, mask):
-        return self.order.position(mask)
+    def first(self, masks):
+        self.ranked += len(masks)
+        return self.order.first(masks)
 
 
 def assert_within_bound(core, ht, order, stream, targets, query_cap):
     """Every answer equals the first hit of `stream`; at most min(2^d, cap)
-    candidates are drawn in all and at most 2^d blocks evaluated per target."""
+    candidates are drawn in all and at most 2^d masks ranked per target."""
     search = OrderedSearch(core, order, query_cap)
     for target in targets:
-        before = order.evaluated
+        before = order.ranked
         assert search.find(target) == first_hit(stream, ht, target, query_cap)
-        assert order.evaluated - before <= 1 << core.dim
+        assert order.ranked - before <= 1 << core.dim
     assert order.drawn <= min(1 << core.dim, query_cap)
 
 
@@ -120,7 +114,7 @@ class TestWorkBound:
     def test_scan_and_rank_stay_within_bound(self, checks, unknowns, hseed, cap):
         # Every target, reachable or not: the answer matches enumeration,
         # at most min(2^d, cap) candidates are drawn in all and at most
-        # 2^d coset members are evaluated per target.  One core serves
+        # 2^d coset members are ranked per target.  One core serves
         # searches with different caps.
         ht = random_bit_matrix(hseed, checks, unknowns)
         core = SearchCore(ht.col_ints())
@@ -128,10 +122,10 @@ class TestWorkBound:
             order = CountingWeightOrder(unknowns)
             search = OrderedSearch(core, order, query_cap)
             for target in range(1 << checks):
-                before = order.evaluated
+                before = order.ranked
                 expected = first_hit(weight_order(unknowns), ht, target, query_cap)
                 assert search.find(target) == expected
-                assert order.evaluated - before <= 1 << core.dim
+                assert order.ranked - before <= 1 << core.dim
             assert order.drawn <= min(1 << core.dim, query_cap)
 
     def test_real_orders_at_coset_dimension_14(self):
@@ -171,7 +165,7 @@ class TestWorkBound:
         for order in (Counting(sd.weight_order(20)), Counting(tg_order)):
             assert_within_bound(core, ht, order, stream, (0, 0b011111, 0b111111), 1 << 20)
             assert order.drawn == 1 << 14
-            assert order.evaluated == 1 << 14
+            assert order.ranked == 1 << 14
 
 
 class TestSystemSearch:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -6,13 +7,15 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rlcgrand import simcli
 from rlcgrand.channel import ChannelParams
 from rlcgrand.rng import SplitMix64, derive_seed
 from rlcgrand.simcli import CSV_HEADER, SimConfig, SimRecord, emit_csv, run_experiment, run_trial
 
-from oracles import trial_rows
+from oracles import reference_records, reference_trial, trial_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -306,6 +309,62 @@ class TestRunExperiment:
         for probs in by_decoder.values():
             for lo, hi in zip(probs, probs[1:]):
                 assert hi >= lo - slack
+
+
+# (eps, burst length) pairs whose p01 = eps/(Λ(1-eps)) spans (0, 1]: from
+# 0.005 up to exactly 1, with many above 1/2, where sd's weight order is
+# not the channel's all-zero-prior order and the two keep separate searches.
+EPS_BURST = [
+    (eps, burst_len)
+    for eps in (0.02, 0.1, 0.3, 0.4, 0.5, 0.6, 0.75)
+    for burst_len in (1.0, 1.5, 2.0, 4.0)
+    if eps / (burst_len * (1.0 - eps)) <= 1.0
+]
+# p01 = 2/3 at a cap of 3: the first hits of many columns lie past the cap
+# (`test_the_example_leaves_columns_unresolved`).
+CAPPED = SimConfig(
+    k=3, n_list=(7, 3, 5), b=8, eps=0.4, burst_len=1.0, decoders=("tgrand", "rlc", "sd"),
+    trials=6, master_seed=5, query_cap=3,
+)
+
+
+@st.composite
+def reference_configs(draw):
+    k = draw(st.integers(1, 5))
+    eps, burst_len = draw(st.sampled_from(EPS_BURST))
+    return SimConfig(
+        k=k,
+        n_list=tuple(draw(st.lists(st.integers(k, k + 4), min_size=1, max_size=3, unique=True))),
+        b=draw(st.integers(1, 8)),
+        eps=eps,
+        burst_len=burst_len,
+        decoders=tuple(draw(st.permutations(simcli.DECODERS))[: draw(st.integers(1, 3))]),
+        trials=draw(st.integers(1, 4)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        query_cap=draw(st.integers(1, 12) | st.just(simcli.DEFAULT_QUERY_CAP)),
+    )
+
+
+class TestReferenceSimulator:
+    """The driver against a whole run rebuilt from the scalar oracles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(reference_configs())
+    @example(CAPPED)
+    @example(dataclasses.replace(CAPPED, eps=0.5, decoders=("sd", "tgrand"), query_cap=40))
+    def test_records_equal_the_reference(self, config):
+        got = [dataclasses.replace(r, wall_seconds=0.0) for r in run_experiment(config)]
+        assert got == reference_records(config)
+
+    def test_the_example_leaves_columns_unresolved(self):
+        hits = [
+            mask
+            for n in CAPPED.n_list
+            for t in range(CAPPED.trials)
+            for _, repair in reference_trial(CAPPED, n, t).values()
+            for mask, _ in repair or ()
+        ]
+        assert None in hits and any(mask is not None for mask in hits)
 
 
 class TestCsv:

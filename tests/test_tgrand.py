@@ -17,6 +17,7 @@ from oracles import (
     syndrome_of_mask,
     tg_repair_by_enumeration,
     vector_probability,
+    weight_order,
 )
 
 # The worked example: p01 = 0.2, p10 = 0.7, prior [1, 0, 1, 1, 0].
@@ -111,15 +112,36 @@ class TestEnumeration:
         masks = [sum(bit << j for j, bit in enumerate(bits)) for bits in stream]
         oracle = list(likelihood_order(prior_mask, length, params))
         assert masks == oracle
-        # The order's closed forms: each mask's 1-based index in the
-        # oracle, and the index of the first mask of its (l0, l1) class.
+        # The order's closed form: each mask's 1-based index in the oracle.
         order = tgrand.likelihood_order(prior_mask, length, p01, p10)
-        first_of_class = {}
         for i, mask in enumerate(oracle):
-            cls = ((mask & ~prior_mask).bit_count(), (prior_mask & ~mask).bit_count())
-            first_of_class.setdefault(cls, i)
             assert order.position(mask) == i + 1
-            assert order.block(mask) == first_of_class[cls]
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(0, (1 << n) - 1),
+                st.lists(st.integers(0, (1 << n) - 1), min_size=1, unique=True),
+            )
+        ),
+        st.sampled_from([0.0, 0.1, 0.5, 0.6, 1.0]),
+        st.just(1.0) | coarse_prob,
+    )
+    def test_first_is_the_earliest_of_any_subset(self, drawn, p01, p10):
+        # At p01 = 0.6 and 1 the all-zero-prior table runs heaviest first,
+        # so the likelihood order's classes are not the weights.
+        length, prior_mask, subset = drawn
+        for order, stream in (
+            (
+                tgrand.likelihood_order(prior_mask, length, p01, p10),
+                likelihood_order(prior_mask, length, ChannelParams(p01=p01, p10=p10)),
+            ),
+            (sd.weight_order(length), weight_order(length)),
+        ):
+            index = {m: i for i, m in enumerate(stream)}
+            assert order.first(subset) == min((index[m] + 1, m) for m in subset)
 
     def test_completeness_at_twelve_unknowns(self):
         prior = ColumnPrior.from_bits((1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1))
