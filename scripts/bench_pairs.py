@@ -171,7 +171,7 @@ def _summarise(runs: list[dict], declared: list[dict]) -> dict:
             entry[side] = _spread(vals)
         if entry["parent"] and entry["change"]:
             parent, change = entry["parent"]["median"], entry["change"]["median"]
-            entry["shift"] = sign * (change - parent) / parent
+            entry["shift"] = (change - parent if sign > 0 else parent - change) / parent
             entry["worse_than_bound"] = entry["shift"] < -m["bound"]
         summary[name] = entry
     ops = {
