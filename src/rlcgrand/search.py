@@ -2,11 +2,11 @@
 
 A `SyndromeSystem` holds ht = (H restricted to the corrupted rows)ᵀ and
 the syndrome s.  Both receivers solve one linear system ht·w = t per bit
-position by querying candidate error columns w in a fixed order and
-keeping the first that satisfies the syndrome; they differ only in that
-order.  A decoder describes its order (`CandidateOrder`) by a generator
-of candidate masks in query order and a rule that picks, from any set of
-masks, the one it queries first, with its position.
+position, querying candidate error columns w in a fixed order until the
+syndrome ht·w, the XOR of the columns of ht that w selects, equals t;
+they differ only in that order.  A decoder's order (`CandidateOrder`) is
+a generator of candidate masks in query order and a rule that picks,
+from any set of masks, the one it queries first, with its position.
 
 The solutions of one column form a coset x0 + ker(ht) of dimension
 d = L - rank(ht).  Eliminating the columns of ht once per system, with a
@@ -86,7 +86,16 @@ class SearchCore:
         self._kernel = kernel
         self.dim = len(kernel)
         self.num_unknowns = len(cols)
-        self.syndrome = _syndrome_function(cols)
+        self._cols = tuple(cols)
+
+    def syndrome(self, mask: int) -> int:
+        """ht·w for the candidate w = `mask`: the XOR of the columns it selects."""
+        cols, s = self._cols, 0
+        while mask:
+            low = mask & -mask
+            s ^= cols[low.bit_length() - 1]
+            mask ^= low
+        return s
 
     def particular(self, target: int) -> int | None:
         """Some w with ht·w = target, or None when the target is out of reach."""
@@ -232,27 +241,3 @@ def repair_columns(
         unresolved=tuple(unresolved),
         queries_per_column=tuple(queries),
     )
-
-
-def _syndrome_function(cols: Sequence[int]) -> Callable[[int], int]:
-    """mask -> XOR of cols[j] over the set bits j, via one table per byte."""
-    tables = []
-    for start in range(0, len(cols), 8):
-        table = [0]
-        for col in cols[start : start + 8]:
-            table += [v ^ col for v in table]
-        tables.append(table)
-    if len(tables) <= 1:
-        return (tables[0] if tables else [0]).__getitem__
-    if len(tables) == 2:
-        low, high = tables
-        return lambda m: low[m & 0xFF] ^ high[m >> 8]
-
-    def syndrome(m: int) -> int:
-        s = 0
-        for table in tables:
-            s ^= table[m & 0xFF]
-            m >>= 8
-        return s
-
-    return syndrome

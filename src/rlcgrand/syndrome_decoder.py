@@ -18,6 +18,8 @@ the first hit, or to the cap.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import gf2
 from .gf2 import BitMatrix
 from .rlc import ParityCheck
@@ -30,6 +32,7 @@ def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
     return gf2.matmul(h.matrix.transpose(), y)
 
 
+@lru_cache(maxsize=None)
 def weight_order(l: int) -> LikelihoodOrder:
     """sd's candidate order over L unknowns: weight 0, 1, 2, ...; supports
     in lexicographic order within a weight."""

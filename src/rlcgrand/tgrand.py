@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .channel import ChannelParams
@@ -228,18 +228,10 @@ class LikelihoodOrder:
     def masks(self) -> Iterator[int]:
         prior, zero_bits, one_bits = self._prior, self._zero_bits, self._one_bits
         for l0, l1 in self._classes:
-            # prior ^ flips0 ^ flips1 == sum(flips0, prior ^ flips1), because
-            # flips0 sets only the prior's zeros.  A class with one one-side
-            # combination (l1 = 0 or L1, so every class of the all-zero
-            # prior) is then a single map over the zero-side combinations.
             bases = [prior ^ sum(c) for c in combinations(one_bits, l1)]
-            flips0 = combinations(zero_bits, l0)
-            if len(bases) == 1:
-                yield from map(sum, flips0, repeat(bases[0]))
-            else:
-                for f0 in map(sum, flips0):
-                    for base in bases:
-                        yield f0 ^ base
+            for f0 in map(sum, combinations(zero_bits, l0)):
+                for base in bases:
+                    yield f0 ^ base
 
     def first(self, masks: Sequence[int]) -> tuple[int, int]:
         zeros, prior, stride, offsets = self._zeros, self._prior, self._stride, self._offsets

@@ -53,6 +53,17 @@ class TestCoset:
                 assert len(coset) == 1 << core.dim
                 assert set(coset) == solutions
 
+    @settings(max_examples=100)
+    @given(st.integers(0, 12), st.integers(0, 24), seed, st.data())
+    def test_syndrome_is_the_xor_of_selected_columns(self, checks, unknowns, hseed, data):
+        # L runs across the byte boundaries 8/9 and 16/17; the empty and
+        # the full mask are always checked.
+        ht = random_bit_matrix(hseed, checks, unknowns)
+        core = SearchCore(ht.col_ints())
+        full = (1 << unknowns) - 1
+        for m in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=20))]:
+            assert core.syndrome(m) == syndrome_of_mask(ht, m)
+
     def test_lex_rank_follows_combinations(self):
         positions = (1, 4, 5, 9, 12)
         side = sum(1 << p for p in positions)

@@ -121,6 +121,7 @@ class TestWeightOrder:
         # The order exactly as sd_repair builds it: the oracle's masks,
         # each at its 1-based index.
         order = sd.weight_order(l)
+        assert sd.weight_order(l) is order
         masks = list(order.masks())
         assert masks == list(weight_order(l))
         for i, mask in enumerate(masks):
