@@ -143,15 +143,22 @@ def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Product over GF(2): result[i][j] = XOR_k a[i][k] & b[k][j]."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return BitMatrix.trusted(a.rows, b.cols, mul_rows(a.row_ints, b.row_ints))
+
+
+def mul_rows(a_rows: Sequence[int], b_rows: Sequence[int]) -> tuple[int, ...]:
+    """Rows of A·B from row bitmasks: row i is the XOR of the rows of B
+    that row i of A selects.  No shapes are checked: every set bit of A
+    must index a row of B."""
     out = []
-    for r in a.row_ints:
+    for r in a_rows:
         acc = 0
         while r:
             low = r & -r
-            acc ^= b.row_ints[low.bit_length() - 1]
+            acc ^= b_rows[low.bit_length() - 1]
             r ^= low
         out.append(acc)
-    return BitMatrix.trusted(a.rows, b.cols, tuple(out))
+    return tuple(out)
 
 
 def add(a: BitMatrix, b: BitMatrix) -> BitMatrix:

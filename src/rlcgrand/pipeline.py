@@ -8,7 +8,8 @@ successful decode always returns the true source packets.
 
 A receiver run is one plain attempt (`attempt_rlc`), which reduces the
 clean rows into a `gf2.Echelon` carried on its outcome.  When
-`needs_repair` holds, `syndrome_system` builds the repair system once, a
+`needs_repair` holds, `syndrome_system` builds the repair system once,
+reading S and H_R̄ᵀ from the systematic generator G = [I_K; P] and Y, a
 decoder (`sd_repair` or `tg_repair`) estimates the corrupted rows from
 it, and `redecode` verifies them and adds only the promoted rows to a
 copy of the attempt's echelon, so no decode eliminates the clean rows
@@ -21,9 +22,8 @@ from dataclasses import dataclass, field
 
 from . import gf2
 from .gf2 import BitMatrix
-from .rlc import Generator, parity_check
-from .search import RepairResult
-from .syndrome_decoder import SyndromeSystem, compute_syndrome
+from .rlc import Generator
+from .search import RepairResult, SyndromeSystem
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,28 @@ def needs_repair(batch: ReceivedBatch, gen: Generator, base: DecodeOutcome) -> b
 
 def syndrome_system(batch: ReceivedBatch, gen: Generator) -> SyndromeSystem:
     """The repair system of a batch: H_R̄ᵀ and S = Hᵀ·Y, eliminated once and
-    shared by every repair run on it."""
-    h = parity_check(gen)
+    shared by every repair run on it.
+
+    Both are read from the systematic form G = [I_K; P], with no H built:
+    check i is row i of Hᵀ = [P | I_{N-K}], the mask P_i | 1 << (K+i), so
+    row i of S is y[K+i] ⊕ ⨁_{j ∈ P_i} y[j] and H_R̄ᵀ's entry (i, c) is
+    bit rbar[c] of that mask.  `rlc.parity_check` and
+    `syndrome_decoder.compute_syndrome` are the reference it equals.
+    """
+    k, y, rbar = gen.k, batch.y.row_ints, batch.rbar
+    p = gen.matrix.row_ints[k:]
+    ht = []
+    for i, p_i in enumerate(p, k):
+        check, row = p_i | 1 << i, 0
+        for c, r in enumerate(rbar):
+            if check >> r & 1:
+                row |= 1 << c
+        ht.append(row)
+    # P_i's bits index rows below K, so y stands in for Y's top block.
+    s = tuple(a ^ b for a, b in zip(gf2.mul_rows(p, y), y[k:]))
     return SyndromeSystem(
-        ht=h.matrix.take_rows(batch.rbar).transpose(), s=compute_syndrome(h, batch.y)
+        ht=BitMatrix.trusted(len(p), len(rbar), tuple(ht)),
+        s=BitMatrix.trusted(len(p), batch.y.cols, s),
     )
 
 

@@ -1,10 +1,13 @@
 """Systematic random linear packet coding over GF(2).
 
 K source packets of B bits form the rows of U; the transmitter sends
-N >= K coded packets X = G·U where G = [I_K; P] and P is a uniformly
-random (N-K)×K binary matrix.  The matching parity-check matrix
+N >= K coded packets X = G·U = [U; P·U] where G = [I_K; P] and P is a
+uniformly random (N-K)×K binary matrix.  The matching parity-check matrix
 H = [P | I_{N-K}]ᵀ satisfies Hᵀ·G = 0, which is what lets a receiver
-compute syndromes of corrupted packets without knowing U.
+compute syndromes of corrupted packets without knowing U.  H
+(`parity_check`) and `syndrome_decoder.compute_syndrome` are the
+reference; the driver reads S and H_R̄ᵀ from the systematic form directly
+(`pipeline.syndrome_system`).
 """
 
 from __future__ import annotations
@@ -68,10 +71,12 @@ def make_generators(k: int, n: int, seeds: np.ndarray) -> list[Generator]:
 
 
 def encode(gen: Generator, u: BitMatrix) -> BitMatrix:
-    """X = G·U; the first K rows of X are U itself (systematic prefix)."""
+    """X = G·U = [U; P·U]: the first K rows of X are U itself (systematic
+    prefix), so only the parity rows are multiplied."""
     if u.rows != gen.k:
         raise ValueError(f"U has {u.rows} rows, expected {gen.k}")
-    return gf2.matmul(gen.matrix, u)
+    rows = u.row_ints
+    return BitMatrix.trusted(gen.n, u.cols, rows + gf2.mul_rows(gen.matrix.row_ints[gen.k :], rows))
 
 
 def parity_check(gen: Generator) -> ParityCheck:

@@ -221,7 +221,7 @@ def repair_columns(
     all-zero, so the next column's prior is 0 again.
     """
     searches: dict[int, OrderedSearch] = {}
-    out_cols: list[int] = []
+    rows = [0] * system.ht.cols
     queries: list[int] = []
     unresolved: list[int] = []
     prior = 0
@@ -234,10 +234,13 @@ def repair_columns(
         if mask is None:
             unresolved.append(b)
             mask = 0
-        out_cols.append(mask)
-        prior = mask
+        prior = bits = mask
+        while bits:
+            low = bits & -bits
+            rows[low.bit_length() - 1] |= 1 << b
+            bits ^= low
     return RepairResult(
-        e_hat=BitMatrix.trusted(len(out_cols), system.ht.cols, tuple(out_cols)).transpose(),
+        e_hat=BitMatrix.trusted(len(rows), len(queries), tuple(rows)),
         unresolved=tuple(unresolved),
         queries_per_column=tuple(queries),
     )

@@ -11,8 +11,9 @@ count or scheduling.
 Each trial runs the plain RLC attempt once.  That outcome is the rlc
 decoder's, and it is what the sd and tgrand repairs return whenever no
 repair is needed (the attempt succeeded, N == K, or no row is
-corrupted).  Otherwise the trial builds one syndrome system (H, S = Hᵀ·Y,
-H_R̄ᵀ, eliminated once), and both repairs run on it.  A decoder's
+corrupted).  Otherwise the trial builds one syndrome system (S = Hᵀ·Y and
+H_R̄ᵀ, read from the systematic generator without building H, eliminated
+once), and both repairs run on it.  A decoder's
 ``wall_seconds`` is the time spent on its outcome: the shared attempt is
 timed once and charged in full to every decoder, the syndrome system's
 build is timed once and charged in full to each repairing decoder, and

@@ -28,7 +28,8 @@ from .tgrand import LikelihoodOrder
 
 
 def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
-    """S = Hᵀ·Y; independent of the transmitted data because Hᵀ·G = 0."""
+    """S = Hᵀ·Y; independent of the transmitted data because Hᵀ·G = 0.  The
+    reference that `pipeline.syndrome_system`'s direct build must equal."""
     return gf2.matmul(h.matrix.transpose(), y)
 
 

@@ -6,7 +6,7 @@ from rlcgrand import channel, gf2, pipeline, rlc, syndrome_decoder as sd, tgrand
 from rlcgrand.channel import ChannelParams
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import random_bit_matrix
-from rlcgrand.search import RepairResult
+from rlcgrand.search import RepairResult, SyndromeSystem
 
 from oracles import redecode_by_stacking
 
@@ -216,3 +216,35 @@ def test_receiver_invariants_on_random_batches(k, extra, b, gseed, useed, eseed)
         assert 0 <= out.nu <= len(batch.rbar)
         assert _receive(batch, g, method, params) == out
         assert pipeline.needs_repair(batch, g, plain) or out == plain
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10), st.integers(0, 10), st.integers(1, 70),
+    st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+    st.sampled_from(("none", "systematic", "parity", "all", "subset")), st.data(),
+)
+def test_direct_syndrome_system_equals_the_h_oracle(k, extra, b, gseed, yseed, kind, data):
+    """`syndrome_system` reads S and H_R̄ᵀ from G = [I_K; P]; H built by
+    `parity_check` and S = Hᵀ·Y from `compute_syndrome` are the reference,
+    for any corrupted set, K up to 10, N − K up to 10 and B past 64."""
+    n = k + extra
+    g = rlc.make_generator(k, n, gseed)
+    y = random_bit_matrix(yseed, n, b)
+    pools = {"none": (), "systematic": range(k), "parity": range(k, n), "all": range(n)}
+    if kind == "subset":
+        picks = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        rbar = tuple(i for i in range(n) if picks[i])
+    else:
+        rbar = tuple(pools[kind])
+    r = tuple(i for i in range(n) if i not in rbar)
+    batch = pipeline.ReceivedBatch(y=y, truth_x=y, r=r, rbar=rbar)
+
+    h = rlc.parity_check(g)
+    expected = SyndromeSystem(
+        ht=h.matrix.take_rows(rbar).transpose(), s=sd.compute_syndrome(h, y)
+    )
+    system = pipeline.syndrome_system(batch, g)
+    assert system.ht == expected.ht and system.s == expected.s
+    assert system.targets == expected.targets
+    assert system.core.dim == k - gf2.rank(g.matrix.take_rows(r))

@@ -75,6 +75,17 @@ class TestEncode:
         x = rlc.encode(g, u)
         assert x.take_rows(range(g.k)) == u
 
+    @settings(max_examples=100)
+    @given(
+        gen_strategy(max_k=8, max_extra=0) | gen_strategy(max_k=8, max_extra=8),
+        st.integers(1, 70), st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_full_product(self, g, b, useed):
+        # encode multiplies only the parity rows; G·U over all N rows is
+        # the reference, N == K included.
+        u = random_bit_matrix(useed, g.k, b)
+        assert rlc.encode(g, u) == gf2.matmul(g.matrix, u)
+
 
 class TestParityCheck:
     def test_degenerate_no_parity(self):

@@ -15,7 +15,15 @@ from rlcgrand.rng import random_bit_matrix
 from rlcgrand.search import OrderedSearch, SearchCore
 from rlcgrand import tgrand
 
-from oracles import first_hit, likelihood_order, syndrome_of_mask, weight_order
+from oracles import (
+    assert_repair_matches,
+    first_hit,
+    likelihood_order,
+    sd_repair_by_enumeration,
+    syndrome_of_mask,
+    tg_repair_by_enumeration,
+    weight_order,
+)
 
 seed = st.integers(0, 2**32 - 1)
 
@@ -231,3 +239,26 @@ class TestSystemSearch:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 5), st.integers(0, 7), st.integers(60, 70), seed, seed,
+    st.integers(1, 15).map(lambda i: i / 16.0), st.integers(-3, 3), st.integers(-1, 1),
+)
+def test_row_form_estimate_past_one_word(checks, unknowns, b, hseed, eseed, p01, shift, offset):
+    # e_hat is written row by row, one bit per column; B runs past 64 so
+    # each row spans more than one machine word.  Caps land on both sides
+    # of 2^d, so the scan, the rank step and the miss all write it.
+    ht = random_bit_matrix(hseed, checks, unknowns)
+    s = gf2.matmul(ht, random_bit_matrix(eseed, unknowns, b))
+    d = unknowns - gf2.rank(ht)
+    cap = max(1, (1 << max(0, d + shift)) + offset)
+    params = ChannelParams(p01=p01, p10=0.3)
+    system = sd.SyndromeSystem(ht=ht, s=s)
+    for res, expected in (
+        (sd.sd_repair(system, cap), sd_repair_by_enumeration(ht, s, cap)),
+        (tgrand.tg_repair(system, params, cap), tg_repair_by_enumeration(ht, s, params, cap)),
+    ):
+        assert (res.e_hat.rows, res.e_hat.cols) == (unknowns, b)
+        assert_repair_matches(res, expected)
