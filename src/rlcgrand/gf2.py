@@ -5,12 +5,11 @@ bit ``j`` holding column ``j``.  Row XOR is then a single integer XOR,
 which keeps elimination and matrix products cheap at the sizes used by
 the packet simulator (tens of rows and columns).
 
-`Echelon` is the elimination behind every rank and solve here.  It
-takes the rows of a system one at a time, so a receiver reduces its
-clean rows once and later adds only the rows a repair promotes; `rank`
-and `rank_solve` feed it a whole matrix.  The repair search
-(`search.SearchCore`) eliminates the columns of ht on its own, because
-it also records which original columns each pivot combines.
+`Echelon` is the one elimination in the package.  It takes the rows of
+a system one at a time, so a receiver reduces its clean rows once and
+later adds only the rows a repair promotes; `rank` and `rank_solve` feed
+it a whole matrix, and the repair search (`search.SearchCore`) feeds it
+the columns of ht, each with its own index bit as right side.
 """
 
 from __future__ import annotations
@@ -200,9 +199,10 @@ class Echelon:
         out.pivots = self.pivots[:]
         return out
 
-    def add(self, g: int, y: int = 0) -> None:
-        """Reduce the row (g, y) against the pivots; keep it as a new pivot,
-        or record a contradiction if only its right side survives."""
+    def add(self, g: int, y: int = 0) -> int:
+        """Reduce the row (g, y) against the pivots: keep it as a new pivot and
+        return 0, or return the leftover w, which has no coefficient bits
+        (its right side is ``w >> cols``); a nonzero w sets ``inconsistent``."""
         pivots = self.pivots
         mask = (1 << self.cols) - 1
         w = g | (y << self.cols)
@@ -213,11 +213,23 @@ class Echelon:
             if not p:
                 pivots[j] = w
                 self.rank += 1
-                return
+                return 0
             w ^= p
             low = w & mask
         if w:
             self.inconsistent = True
+        return w
+
+    def reduce(self, g: int) -> int | None:
+        """The right side that the pivots combining to g add up to, or None
+        when g is outside their span; the echelon is left as it is."""
+        pivots, mask, w = self.pivots, (1 << self.cols) - 1, g
+        while w & mask:
+            p = pivots[(w & -w).bit_length() - 1]
+            if not p:
+                return None
+            w ^= p
+        return w >> self.cols
 
     def solve(self) -> BitMatrix | None:
         """The unique X (cols × rhs_cols) with g·X = y for every added row.

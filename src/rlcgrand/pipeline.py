@@ -92,25 +92,24 @@ def syndrome_system(batch: ReceivedBatch, gen: Generator) -> SyndromeSystem:
     shared by every repair run on it.
 
     Both are read from the systematic form G = [I_K; P], with no H built:
-    check i is row i of Hᵀ = [P | I_{N-K}], the mask P_i | 1 << (K+i), so
-    row i of S is y[K+i] ⊕ ⨁_{j ∈ P_i} y[j] and H_R̄ᵀ's entry (i, c) is
-    bit rbar[c] of that mask.  `rlc.parity_check` and
+    check i is row i of Hᵀ = [P | I_{N-K}], the mask P_i | 1 << (K+i),
+    built once.  Row i of S is the XOR of the rows of Y that the mask
+    selects, y[K+i] ⊕ ⨁_{j ∈ P_i} y[j], and H_R̄ᵀ's entry (i, c) is bit
+    rbar[c] of the mask.  `rlc.parity_check` and
     `syndrome_decoder.compute_syndrome` are the reference it equals.
     """
     k, y, rbar = gen.k, batch.y.row_ints, batch.rbar
-    p = gen.matrix.row_ints[k:]
+    checks = [p_i | 1 << i for i, p_i in enumerate(gen.matrix.row_ints[k:], k)]
     ht = []
-    for i, p_i in enumerate(p, k):
-        check, row = p_i | 1 << i, 0
+    for check in checks:
+        row = 0
         for c, r in enumerate(rbar):
             if check >> r & 1:
                 row |= 1 << c
         ht.append(row)
-    # P_i's bits index rows below K, so y stands in for Y's top block.
-    s = tuple(a ^ b for a, b in zip(gf2.mul_rows(p, y), y[k:]))
     return SyndromeSystem(
-        ht=BitMatrix.trusted(len(p), len(rbar), tuple(ht)),
-        s=BitMatrix.trusted(len(p), batch.y.cols, s),
+        ht=BitMatrix.trusted(len(checks), len(rbar), tuple(ht)),
+        s=BitMatrix.trusted(len(checks), batch.y.cols, gf2.mul_rows(checks, y)),
     )
 
 

@@ -9,10 +9,10 @@ a generator of candidate masks in query order and a rule that picks,
 from any set of masks, the one it queries first, with its position.
 
 The solutions of one column form a coset x0 + ker(ht) of dimension
-d = L - rank(ht).  Eliminating the columns of ht once per system, with a
-record of which columns were combined, gives a particular solution x0 for
-any target and a basis of the kernel.  A target is then resolved in two
-steps:
+d = L - rank(ht).  Reducing the columns of ht once per system in a
+`gf2.Echelon`, with a record of which columns were combined, gives a
+particular solution x0 for any target and a basis of the kernel.  A
+target is then resolved in two steps:
 
 - scan: test candidates in query order, at most min(2^d, cap) of them.
   The first position of every syndrome seen is memoised, so later targets
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterator, Protocol, Sequence
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, Echelon
 
 DEFAULT_QUERY_CAP = 1 << 20
 
@@ -59,34 +59,26 @@ class CandidateOrder(Protocol):
 class SearchCore:
     """Coset structure of one syndrome system, eliminated once.
 
-    `cols` are the columns of ht as bitmasks (bit i = check i).  `dim` is
-    the coset dimension d = L - rank(ht); for a received batch it equals
+    Column j of ``ht`` enters one `gf2.Echelon` as the row (column j,
+    1 << j), so each right side records which original columns were
+    combined.  A column that reduces to zero leaves the mask of a kernel
+    vector, and `particular` is the echelon's `reduce`: some w with
+    ht·w = target, or None when the target is out of reach.  `dim` is the
+    coset dimension d = L - rank(ht); for a received batch it equals
     K - rank(G_R).
 
     One core serves every candidate order over the same system.
     """
 
-    def __init__(self, cols: Sequence[int]):
-        # Each pivot is (pivot bit, reduced column, mask of the original
-        # columns whose XOR gives it); a column that reduces to zero gives
-        # the mask of a kernel vector.
-        pivots: list[tuple[int, int, int]] = []
-        kernel: list[int] = []
-        for j, col in enumerate(cols):
-            combo = 1 << j
-            for bit, vec, vec_combo in pivots:
-                if col & bit:
-                    col ^= vec
-                    combo ^= vec_combo
-            if col:
-                pivots.append((col & -col, col, combo))
-            else:
-                kernel.append(combo)
-        self._pivots = pivots
-        self._kernel = kernel
-        self.dim = len(kernel)
-        self.num_unknowns = len(cols)
-        self._cols = tuple(cols)
+    def __init__(self, ht: BitMatrix):
+        cols, n = ht.col_ints(), ht.rows
+        ech = Echelon(n, ht.cols)
+        add = ech.add
+        self._kernel = [w >> n for j, col in enumerate(cols) if (w := add(col, 1 << j))]
+        self.particular = ech.reduce
+        self.dim = ht.cols - ech.rank
+        self.num_unknowns = ht.cols
+        self._cols = cols
 
     def syndrome(self, mask: int) -> int:
         """ht·w for the candidate w = `mask`: the XOR of the columns it selects."""
@@ -96,15 +88,6 @@ class SearchCore:
             s ^= cols[low.bit_length() - 1]
             mask ^= low
         return s
-
-    def particular(self, target: int) -> int | None:
-        """Some w with ht·w = target, or None when the target is out of reach."""
-        x0 = 0
-        for bit, vec, combo in self._pivots:
-            if target & bit:
-                target ^= vec
-                x0 ^= combo
-        return None if target else x0
 
     def coset(self, x0: int) -> list[int]:
         """All 2^d solutions x0 + ker(ht)."""
@@ -132,7 +115,7 @@ class SyndromeSystem:
     def __post_init__(self):
         if self.s.rows != self.ht.rows:
             raise ValueError("syndrome row count must match parity-check row count")
-        object.__setattr__(self, "core", SearchCore(self.ht.col_ints()))
+        object.__setattr__(self, "core", SearchCore(self.ht))
         object.__setattr__(self, "targets", self.s.col_ints())
         object.__setattr__(self, "_searches", {})
 

@@ -20,12 +20,17 @@ from rlcgrand.search import RepairResult
 from rlcgrand.tgrand import sorted_classes
 
 
-def rank_by_row_space(m: BitMatrix) -> int:
-    """Rank = log2 of the row-space size, built by closing {0} under XOR."""
+def row_span(m: BitMatrix) -> set[int]:
+    """Every XOR of a subset of m's rows, built by closing {0} under XOR."""
     span = {0}
     for r in m.row_ints:
         span |= {v ^ r for v in span}
-    return len(span).bit_length() - 1
+    return span
+
+
+def rank_by_row_space(m: BitMatrix) -> int:
+    """Rank = log2 of the row-space size."""
+    return len(row_span(m)).bit_length() - 1
 
 
 def redecode_by_stacking(batch, gen, base: DecodeOutcome, result) -> DecodeOutcome:

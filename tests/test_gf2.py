@@ -297,6 +297,41 @@ class TestEchelon:
         assert ech.solve() is None
 
 
+class TestEchelonAddAndReduce:
+    @settings(max_examples=300)
+    @given(a=bitmatrix(7, 5), unit=st.booleans(), data=st.data())
+    def test_match_the_span_oracle(self, a, unit, data):
+        # Right sides are either arbitrary or one index bit per row, as the
+        # repair search uses them; with index bits no leftover is zero.
+        if unit:
+            ys = [1 << i for i in range(a.rows)]
+        else:
+            ys = data.draw(st.lists(st.integers(0, 127), min_size=a.rows, max_size=a.rows))
+        ech = gf2.Echelon(a.cols, 7)
+        # (g, right side) of every XOR of a subset of the rows added so far.
+        combos = {(0, 0)}
+        for i, (g, y) in enumerate(zip(a.row_ints, ys)):
+            rank = ech.rank
+            left = ech.add(g, y)
+            grew = ech.rank == rank + 1
+            if grew or unit:
+                assert (left == 0) == grew
+            if not grew:
+                assert left & ((1 << a.cols) - 1) == 0
+                assert (g, (left >> a.cols) ^ y) in combos
+            combos |= {(cg ^ g, cy ^ y) for cg, cy in combos}
+            added = a.take_rows(range(i + 1))
+            assert ech.rank == rank_by_row_space(added)
+            for target in range(1 << a.cols):
+                before = _state(ech)
+                got = ech.reduce(target)
+                assert _state(ech) == before
+                in_span = rank_by_row_space(added.vstack(BitMatrix(1, a.cols, [target]))) == ech.rank
+                assert (got is None) == (not in_span)
+                if got is not None:
+                    assert (target, got) in combos
+
+
 class TestMatvecCheck:
     def test_zero_vector_zero_target(self):
         a = BitMatrix.from_rows([[1, 1], [0, 1]])

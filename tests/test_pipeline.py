@@ -8,7 +8,7 @@ from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import random_bit_matrix
 from rlcgrand.search import RepairResult, SyndromeSystem
 
-from oracles import redecode_by_stacking
+from oracles import redecode_by_stacking, row_span, syndrome_of_mask
 
 
 def _make_batch(g, u, e):
@@ -248,3 +248,14 @@ def test_direct_syndrome_system_equals_the_h_oracle(k, extra, b, gseed, yseed, k
     assert system.ht == expected.ht and system.s == expected.s
     assert system.targets == expected.targets
     assert system.core.dim == k - gf2.rank(g.matrix.take_rows(r))
+
+    # Every column target: a particular solution exactly when the target
+    # lies in the column space of H_R̄ᵀ, and a coset of 2^d members.
+    core, ht = system.core, system.ht
+    column_space = row_span(ht.transpose())
+    for t in system.targets:
+        x0 = core.particular(t)
+        assert (x0 is None) == (t not in column_space)
+        if x0 is not None:
+            assert syndrome_of_mask(ht, x0) == t
+            assert len(core.coset(x0)) == 2**core.dim

@@ -47,6 +47,17 @@ class TestMakeGenerator:
         with pytest.raises(ValueError):
             rlc.make_generator(4, 3, 1)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1], [0, 1], [1, 0]],  # would encode U = I as [[1,0],[0,1],[1,0]], not G·U
+            [[0, 1], [1, 0], [1, 1]],  # identity rows swapped
+        ],
+    )
+    def test_top_block_other_than_identity_is_rejected(self, rows):
+        with pytest.raises(ValueError, match="identity"):
+            rlc.Generator(k=2, n=3, matrix=BitMatrix.from_rows(rows))
+
     @settings(max_examples=50)
     @given(gen_strategy())
     def test_systematic_top_block(self, g):

@@ -40,7 +40,7 @@ class TestCosetDimension:
         y, _ = channel.apply(ChannelParams.from_eps_lambda(eps, burst_len), x, nseed)
         batch = classify(y, x)
         ht = parity_check(gen).matrix.take_rows(batch.rbar).transpose()
-        core = SearchCore(ht.col_ints())
+        core = SearchCore(ht)
         assert core.dim == len(batch.rbar) - gf2.rank(ht)
         assert core.dim == k - gf2.rank(gen.matrix.take_rows(batch.r))
 
@@ -50,7 +50,7 @@ class TestCoset:
     @given(st.integers(0, 5), st.integers(0, 6), seed)
     def test_coset_is_the_solution_set(self, checks, unknowns, hseed):
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht.col_ints())
+        core = SearchCore(ht)
         for target in range(1 << checks):
             solutions = {m for m in range(1 << unknowns) if syndrome_of_mask(ht, m) == target}
             x0 = core.particular(target)
@@ -67,7 +67,7 @@ class TestCoset:
         # L runs across the byte boundaries 8/9 and 16/17; the empty and
         # the full mask are always checked.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht.col_ints())
+        core = SearchCore(ht)
         full = (1 << unknowns) - 1
         for m in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=20))]:
             assert core.syndrome(m) == syndrome_of_mask(ht, m)
@@ -136,7 +136,7 @@ class TestWorkBound:
         # 2^d coset members are ranked per target.  One core serves
         # searches with different caps.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht.col_ints())
+        core = SearchCore(ht)
         for query_cap in (cap, 1 << 20):
             order = CountingWeightOrder(unknowns)
             search = OrderedSearch(core, order, query_cap)
@@ -151,7 +151,7 @@ class TestWorkBound:
         # 16 unknowns, 2 independent checks: d = 14.  Every target, with a
         # cap that cuts the scan short and with the default cap.
         ht = random_bit_matrix(1, 2, 16)
-        core = SearchCore(ht.col_ints())
+        core = SearchCore(ht)
         assert core.dim == 14
         params = ChannelParams(p01=0.1, p10=0.3)
         prior = 0b0000111100110000
@@ -176,7 +176,7 @@ class TestWorkBound:
         groups = (4, 4, 3, 3, 3, 3)
         cols = tuple(1 << g for g, size in enumerate(groups) for _ in range(size))
         ht = BitMatrix.trusted(20, 6, cols).transpose()
-        core = SearchCore(cols)
+        core = SearchCore(ht)
         assert core.dim == 14
         stream = list(islice(weight_order(20), 1 << 15))  # holds every first hit here
         params = ChannelParams(p01=0.1, p10=0.3)
