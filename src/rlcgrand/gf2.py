@@ -3,7 +3,9 @@
 Matrices are immutable; each row is stored as a Python int bitmask with
 bit ``j`` holding column ``j``.  Row XOR is then a single integer XOR,
 which keeps elimination and matrix products cheap at the sizes used by
-the packet simulator (tens of rows and columns).
+the packet simulator (tens of rows and columns).  `mul_rows` is the one
+product loop: X = [U; P·U], S = Hᵀ·Y and H_R̄ᵀ = Hᵀ·Π_R̄ are built by it.
+Immutable matrices can be shared: `BitMatrix.identity` builds I_n once per n.
 
 `Echelon` is the one elimination in the package.  It takes the rows of
 a system one at a time, so a receiver reduces its clean rows once and
@@ -14,6 +16,7 @@ the columns of ht, each with its own index bit as right side.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 
@@ -67,6 +70,7 @@ class BitMatrix:
         return cls.trusted(rows, cols, (0,) * rows)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "BitMatrix":
         return cls.trusted(n, n, tuple(1 << i for i in range(n)))
 

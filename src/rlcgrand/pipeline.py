@@ -9,11 +9,11 @@ successful decode always returns the true source packets.
 A receiver run is one plain attempt (`attempt_rlc`), which reduces the
 clean rows into a `gf2.Echelon` carried on its outcome.  When
 `needs_repair` holds, `syndrome_system` builds the repair system once,
-reading S and H_R̄ᵀ from the systematic generator G = [I_K; P] and Y, a
-decoder (`sd_repair` or `tg_repair`) estimates the corrupted rows from
-it, and `redecode` verifies them and adds only the promoted rows to a
-copy of the attempt's echelon, so no decode eliminates the clean rows
-twice.
+S = Hᵀ·Y and H_R̄ᵀ = Hᵀ·Π_R̄ as two `gf2.mul_rows` products of the check
+rows of the systematic generator G = [I_K; P], a decoder (`sd_repair` or
+`tg_repair`) estimates the corrupted rows from it, and `redecode`
+verifies them and adds only the promoted rows to a copy of the attempt's
+echelon, so no decode eliminates the clean rows twice.
 """
 
 from __future__ import annotations
@@ -91,25 +91,20 @@ def syndrome_system(batch: ReceivedBatch, gen: Generator) -> SyndromeSystem:
     """The repair system of a batch: H_R̄ᵀ and S = Hᵀ·Y, eliminated once and
     shared by every repair run on it.
 
-    Both are read from the systematic form G = [I_K; P], with no H built:
-    check i is row i of Hᵀ = [P | I_{N-K}], the mask P_i | 1 << (K+i),
-    built once.  Row i of S is the XOR of the rows of Y that the mask
-    selects, y[K+i] ⊕ ⨁_{j ∈ P_i} y[j], and H_R̄ᵀ's entry (i, c) is bit
-    rbar[c] of the mask.  `rlc.parity_check` and
+    Both are products of the check rows of G = [I_K; P], with no H built:
+    check i is row i of Hᵀ = [P | I_{N-K}], the mask P_i | 1 << (K+i).
+    S = Hᵀ·Y and H_R̄ᵀ = Hᵀ·Π_R̄, where the selection Π_R̄ (N × L) has row
+    rbar[c] equal to 1 << c and every clean row 0.  `rlc.parity_check` and
     `syndrome_decoder.compute_syndrome` are the reference it equals.
     """
-    k, y, rbar = gen.k, batch.y.row_ints, batch.rbar
+    k, y, rbar = gen.k, batch.y, batch.rbar
     checks = [p_i | 1 << i for i, p_i in enumerate(gen.matrix.row_ints[k:], k)]
-    ht = []
-    for check in checks:
-        row = 0
-        for c, r in enumerate(rbar):
-            if check >> r & 1:
-                row |= 1 << c
-        ht.append(row)
+    pick = [0] * y.rows
+    for c, r in enumerate(rbar):
+        pick[r] = 1 << c
     return SyndromeSystem(
-        ht=BitMatrix.trusted(len(checks), len(rbar), tuple(ht)),
-        s=BitMatrix.trusted(len(checks), batch.y.cols, gf2.mul_rows(checks, y)),
+        ht=BitMatrix.trusted(len(checks), len(rbar), gf2.mul_rows(checks, pick)),
+        s=BitMatrix.trusted(len(checks), y.cols, gf2.mul_rows(checks, y.row_ints)),
     )
 
 

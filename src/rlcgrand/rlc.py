@@ -24,8 +24,8 @@ from .rng import MASK64, random_rows
 @dataclass(frozen=True)
 class Generator:
     """Systematic generator [I_K; P]; `make_generator` draws P from a seed.
-    Any other top block raises `ValueError`: encode and the syndrome build
-    read G as [I_K; P]."""
+    A top block other than the shared `BitMatrix.identity(K)` raises
+    `ValueError`: encode and the syndrome build read G as [I_K; P]."""
 
     k: int
     n: int
@@ -34,7 +34,7 @@ class Generator:
     def __post_init__(self):
         if self.matrix.rows != self.n or self.matrix.cols != self.k:
             raise ValueError("generator matrix shape does not match (n, k)")
-        if self.matrix.row_ints[: self.k] != tuple([1 << i for i in range(self.k)]):
+        if self.matrix.row_ints[: self.k] != BitMatrix.identity(self.k).row_ints:
             raise ValueError("generator matrix top block is not the identity I_K")
 
     @property

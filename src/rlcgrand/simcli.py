@@ -272,9 +272,10 @@ def emit_csv(records: list[SimRecord], out_path) -> None:
         path.write_text(text)
         return
     target = path.resolve()  # replace a symlink's target, not the link
-    # Write a sibling temp file and rename it over the target, so readers
-    # see the old file or the new one whole, never a partial write.
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    # Write a sibling temp file, named by PID and a random token so no killed
+    # run can have left it, and rename it over the target: readers see the
+    # old file or the new one whole, never a partial write.
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x") as f:
             f.write(text)

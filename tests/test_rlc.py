@@ -58,6 +58,23 @@ class TestMakeGenerator:
         with pytest.raises(ValueError, match="identity"):
             rlc.Generator(k=2, n=3, matrix=BitMatrix.from_rows(rows))
 
+    @settings(max_examples=100)
+    @given(st.integers(1, 12), st.integers(0, 5), st.integers(0, 2**64 - 1), st.data())
+    def test_top_block_is_checked_against_the_identity_for_every_k(self, k, extra, seed, data):
+        n = k + extra
+        rows = list(rlc.make_generator(k, n, seed).matrix.row_ints)  # accepted
+        i = data.draw(st.integers(0, k - 1), label="row")
+        flipped = rows.copy()
+        flipped[i] ^= 1 << data.draw(st.integers(0, k - 1), label="bit")
+        with pytest.raises(ValueError, match="identity"):
+            rlc.Generator(k=k, n=n, matrix=BitMatrix(n, k, flipped))
+        if k > 1:
+            j = data.draw(st.integers(0, k - 1).filter(lambda j: j != i), label="swapped with")
+            swapped = rows.copy()
+            swapped[i], swapped[j] = rows[j], rows[i]
+            with pytest.raises(ValueError, match="identity"):
+                rlc.Generator(k=k, n=n, matrix=BitMatrix(n, k, swapped))
+
     @settings(max_examples=50)
     @given(gen_strategy())
     def test_systematic_top_block(self, g):

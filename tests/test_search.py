@@ -3,16 +3,16 @@ import weakref
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rlcgrand import channel, gf2, syndrome_decoder as sd
+from rlcgrand import channel, gf2, simcli, syndrome_decoder as sd
 from rlcgrand.channel import ChannelParams
 from rlcgrand.gf2 import BitMatrix
-from rlcgrand.pipeline import classify
+from rlcgrand.pipeline import attempt_rlc, classify, needs_repair, syndrome_system
 from rlcgrand.rlc import encode, make_generator, parity_check
 from rlcgrand.rng import random_bit_matrix
-from rlcgrand.search import OrderedSearch, SearchCore
+from rlcgrand.search import DEFAULT_QUERY_CAP, OrderedSearch, SearchCore
 from rlcgrand import tgrand
 
 from oracles import (
@@ -262,3 +262,77 @@ def test_row_form_estimate_past_one_word(checks, unknowns, b, hseed, eseed, p01,
     ):
         assert (res.e_hat.rows, res.e_hat.cols) == (unknowns, b)
         assert_repair_matches(res, expected)
+
+
+def column_hits(res):
+    """(estimate, queries) per column of a repair; the estimate is None
+    for an unresolved column."""
+    unresolved, rows = set(res.unresolved), res.e_hat.row_ints
+    return [
+        (None if b in unresolved else sum(1 << j for j, r in enumerate(rows) if r >> b & 1), q)
+        for b, q in enumerate(res.queries_per_column)
+    ]
+
+
+def truncated(hit, cap, unknowns):
+    """A default-cap first hit (mask, q) as the cap `cap` reports it."""
+    mask, q = hit
+    return hit if mask is not None and q <= cap else (None, min(1 << unknowns, cap))
+
+
+class TestCapAtDriverSizes:
+    """The cap truncates the default-cap search exactly, at the driver's
+    sizes (K = 10, N 11-20, B = 64), where no enumeration oracle reaches.
+
+    Under cap c a column whose default-cap first hit is (mask, q) reports
+    (mask, q) when q <= c and (None, min(2^L, c)) otherwise.  For tgrand
+    the default-cap search is the one in the order of the capped run's
+    own prior, which is 0 after an unresolved column.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(11, 20), st.sampled_from([0.05, 0.1]), seed, st.data())
+    def test_capped_repair_truncates_the_default_search(self, n, eps, master_seed, data):
+        config = simcli.SimConfig(k=10, n_list=(n,), b=64, eps=eps, master_seed=master_seed)
+        params = config.channel_params
+        system = next(
+            (
+                syndrome_system(batch, gen)
+                for gen, batch in simcli._trials(config, n, 0, 32)
+                if needs_repair(batch, gen, attempt_rlc(batch, gen))
+            ),
+            None,
+        )
+        assume(system is not None)
+        ht, unknowns = system.ht, system.ht.cols
+        # A trial's targets all lie in the column space of ht.  When ht's
+        # rank is short of its rows, plant one target outside it, so the
+        # out-of-reach miss is checked too.
+        reach = system.core.particular
+        outside = next((t for t in range(1 << ht.rows) if reach(t) is None), None)
+        if outside is not None:
+            b = data.draw(st.integers(0, 63), label="planted column")
+            rows = [r & ~(1 << b) | (outside >> i & 1) << b for i, r in enumerate(system.s.row_ints)]
+            system = sd.SyndromeSystem(ht=ht, s=BitMatrix.trusted(ht.rows, 64, tuple(rows)))
+        d = system.core.dim
+
+        sd_default = column_hits(sd.sd_repair(system))
+        tg_default = column_hits(tgrand.tg_repair(system, params))
+        caps = {1, max(1, (1 << d) - 1), 1 << d, (1 << d) + 1, 1 << unknowns, (1 << unknowns) + 1}
+        # A cap equal to a hit found by the rank step, past 2^d.
+        past = sorted({q for m, q in sd_default + tg_default if m is not None and q > 1 << d})
+        if past:
+            caps.add(data.draw(st.sampled_from(past), label="cap at a rank-step hit"))
+
+        for cap in sorted(caps):
+            res = sd.sd_repair(system, cap)
+            assert column_hits(res) == [truncated(h, cap, unknowns) for h in sd_default]
+            assert res.queries_total <= sum(q for _, q in sd_default)
+
+            tg_capped = column_hits(tgrand.tg_repair(system, params, cap))
+            prior = 0
+            for (mask, q), target in zip(tg_capped, system.targets):
+                order = tgrand.likelihood_order(prior, unknowns, params.p01, params.p10)
+                hit = system.search(order, DEFAULT_QUERY_CAP).find(target)
+                assert (mask, q) == truncated(hit, cap, unknowns)
+                prior = mask or 0

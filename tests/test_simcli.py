@@ -400,6 +400,17 @@ class TestCsv:
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.csv"]
 
+    def test_temp_file_left_by_a_killed_run_does_not_block(self, tmp_path):
+        # A run killed between writing its temp file and the rename leaves
+        # the file behind, and a later process may get the same PID.
+        path = tmp_path / "out.csv"
+        stale = tmp_path / f".out.csv.{os.getpid()}.tmp"
+        stale.write_text("partial\n")
+        records = run_experiment(small_config(trials=3))
+        emit_csv(records, path)
+        assert read_csv(path) == records
+        assert sorted(os.listdir(tmp_path)) == [stale.name, "out.csv"]
+
     def test_pipe_target_is_written_through(self, tmp_path):
         # A pipe cannot be renamed over; its reader must get the text.
         fifo = tmp_path / "out.csv"
