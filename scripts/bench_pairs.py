@@ -14,9 +14,11 @@ goes first in even pairs).
 For every end-to-end metric declared in ``BENCHMARK.json`` it prints each
 side's median and quartiles, the number of pairs the change won (ties
 count for neither side), the change's median shift relative to the
-parent's (positive is better) and whether that shift is worse than the
-metric's ``bound``.  It also prints each side's attempted and failed
-operations, summed over its runs.  It writes ``BENCH_<pr>.json`` at the
+parent's (positive is better), whether that shift is worse than the
+metric's ``bound``, and whether the change meets the gain rule: it won
+at least 9 of every 10 pairs, and its median is better than the
+parent's by more than the parent's interquartile range.  It also prints
+each side's attempted and failed operations, summed over its runs.  It writes ``BENCH_<pr>.json`` at the
 repository root with every run's metrics, digest and correctness.  Each
 side is identified by the git tree hash of its ``src/``, which for the
 working tree is computed from the files on disk, so a record made before
@@ -148,10 +150,12 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _summarise(runs: list[dict], declared: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, the change's wins, and
-    its median shift against its bound.  Per side: the operations attempted
-    and failed.  Under ``worse``: each metric worse than its bound, and
-    "failed share" if the change failed a larger share than the parent."""
+    """Per metric: each side's median and quartiles, the change's wins, its
+    median shift against its bound, and whether it meets the gain rule (9
+    of 10 pairs won, a median gap above the parent's interquartile range).
+    Per side: the operations attempted and failed.  Under ``worse``: each
+    metric worse than its bound, and "failed share" if the change failed a
+    larger share than the parent."""
     summary = {}
     for m in declared:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
@@ -173,6 +177,10 @@ def _summarise(runs: list[dict], declared: list[dict]) -> dict:
             parent, change = entry["parent"]["median"], entry["change"]["median"]
             entry["shift"] = (change - parent if sign > 0 else parent - change) / parent
             entry["worse_than_bound"] = entry["shift"] < -m["bound"]
+            entry["meets_gain_rule"] = (
+                10 * entry["change_wins"] >= 9 * len(complete)
+                and sign * (change - parent) > entry["parent"]["q3"] - entry["parent"]["q1"]
+            )
         summary[name] = entry
     ops = {
         side: {key: sum(r.get(key, 0) for r in runs if r["side"] == side)
@@ -230,7 +238,8 @@ def _print_summary(workload: str, seed: int, summary: dict) -> None:
         print(f"  {name} ({s['unit']}, {s['better']} is better): "
               f"parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]  "
               f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
-              f"change won {s['change_wins']}/{s['pairs']}  shift {s['shift']:+.1%}"
+              f"change won {s['change_wins']}/{s['pairs']}  shift {s['shift']:+.1%}  "
+              f"gain rule {'met' if s['meets_gain_rule'] else 'not met'}"
               f"{'  WORSE THAN BOUND' if s['worse_than_bound'] else ''}", flush=True)
     if summary["worse"]:
         print(f"  worse than the parent: {', '.join(summary['worse'])}", flush=True)

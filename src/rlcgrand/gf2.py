@@ -4,14 +4,14 @@ Matrices are immutable; each row is stored as a Python int bitmask with
 bit ``j`` holding column ``j``.  Row XOR is then a single integer XOR,
 which keeps elimination and matrix products cheap at the sizes used by
 the packet simulator (tens of rows and columns).  `mul_rows` is the one
-product loop: X = [U; P·U], S = Hᵀ·Y and H_R̄ᵀ = Hᵀ·Π_R̄ are built by it.
-Immutable matrices can be shared: `BitMatrix.identity` builds I_n once per n.
+product loop: X = [U; P·U] and S = Hᵀ·Y are built by it.  Immutable
+matrices can be shared: `BitMatrix.identity` builds I_n once per n.
 
 `Echelon` is the one elimination in the package.  It takes the rows of
 a system one at a time, so a receiver reduces its clean rows once and
 later adds only the rows a repair promotes; `rank` and `rank_solve` feed
 it a whole matrix, and the repair search (`search.SearchCore`) feeds it
-the columns of ht, each with its own index bit as right side.
+the nonzero columns of ht, each with its own index bit as right side.
 """
 
 from __future__ import annotations
@@ -33,23 +33,29 @@ def _check_row_ints(row_ints: Sequence[int], cols: int) -> tuple[int, ...]:
     return out
 
 
-class BitMatrix:
-    """Immutable binary matrix; rows live as int bitmasks (bit j = column j).
-
-    Zero-row and zero-column matrices are legal; they show up when a code
-    has no parity packets (N == K).
-    """
+class _Slots:
+    """The storage of a `BitMatrix`: plain slots, written only while one is built."""
 
     __slots__ = ("rows", "cols", "row_ints")
 
-    def __init__(self, rows: int, cols: int, row_ints: Sequence[int]):
+
+class BitMatrix(_Slots):
+    """Immutable binary matrix; rows live as int bitmasks (bit j = column j).
+
+    Zero-row and zero-column matrices are legal; they show up when a code
+    has no parity packets (N == K).  Assigning or deleting an attribute
+    raises `AttributeError`, so a shared matrix (`identity`) cannot be
+    changed under its other users.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, row_ints: Sequence[int]) -> "BitMatrix":
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         if len(row_ints) != rows:
             raise ValueError(f"expected {rows} rows, got {len(row_ints)}")
-        self.rows = rows
-        self.cols = cols
-        self.row_ints = _check_row_ints(row_ints, cols)
+        return cls.trusted(rows, cols, _check_row_ints(row_ints, cols))
 
     @classmethod
     def trusted(cls, rows: int, cols: int, row_ints: tuple[int, ...]) -> "BitMatrix":
@@ -57,13 +63,24 @@ class BitMatrix:
 
         For rows the library computes itself (products, sums, row subsets,
         packed random bits), which fit by construction; a matrix built from
-        outside input goes through the validating constructor.
+        outside input goes through the validating constructor.  The slots
+        are filled on a `_Slots` object, which then becomes a BitMatrix.
         """
-        m = object.__new__(cls)
+        m = object.__new__(_Slots)
         m.rows = rows
         m.cols = cols
         m.row_ints = row_ints
+        m.__class__ = cls
         return m
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"BitMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"BitMatrix is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return BitMatrix, (self.rows, self.cols, self.row_ints)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":

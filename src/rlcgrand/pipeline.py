@@ -8,9 +8,10 @@ successful decode always returns the true source packets.
 
 A receiver run is one plain attempt (`attempt_rlc`), which reduces the
 clean rows into a `gf2.Echelon` carried on its outcome.  When
-`needs_repair` holds, `syndrome_system` builds the repair system once,
-S = Hᵀ·Y and H_R̄ᵀ = Hᵀ·Π_R̄ as two `gf2.mul_rows` products of the check
-rows of the systematic generator G = [I_K; P], a decoder (`sd_repair` or
+`needs_repair` holds, `syndrome_system` builds the repair system once
+from the systematic generator G = [I_K; P]: S = Hᵀ·Y as a `gf2.mul_rows`
+product of the check rows, and H_R̄ᵀ column by column, one column per
+corrupted row, read off P or the identity.  A decoder (`sd_repair` or
 `tg_repair`) estimates the corrupted rows from it, and `redecode`
 verifies them and adds only the promoted rows to a copy of the attempt's
 echelon, so no decode eliminates the clean rows twice.
@@ -91,21 +92,29 @@ def syndrome_system(batch: ReceivedBatch, gen: Generator) -> SyndromeSystem:
     """The repair system of a batch: H_R̄ᵀ and S = Hᵀ·Y, eliminated once and
     shared by every repair run on it.
 
-    Both are products of the check rows of G = [I_K; P], with no H built:
-    check i is row i of Hᵀ = [P | I_{N-K}], the mask P_i | 1 << (K+i).
-    S = Hᵀ·Y and H_R̄ᵀ = Hᵀ·Π_R̄, where the selection Π_R̄ (N × L) has row
-    rbar[c] equal to 1 << c and every clean row 0.  `rlc.parity_check` and
+    Both are read from G = [I_K; P], with no H built.  Check i is row i
+    of Hᵀ = [P | I_{N-K}], the mask P_i | 1 << (K+i), and S = Hᵀ·Y is a
+    `gf2.mul_rows` product of the checks.  H_R̄ᵀ is handed over by
+    columns: column c is row rbar[c] of H, which is 1 << i for a
+    corrupted parity row K+i and column r of P for a corrupted
+    systematic row r.  `rlc.parity_check` and
     `syndrome_decoder.compute_syndrome` are the reference it equals.
     """
-    k, y, rbar = gen.k, batch.y, batch.rbar
-    checks = [p_i | 1 << i for i, p_i in enumerate(gen.matrix.row_ints[k:], k)]
-    pick = [0] * y.rows
-    for c, r in enumerate(rbar):
-        pick[r] = 1 << c
-    return SyndromeSystem(
-        ht=BitMatrix.trusted(len(checks), len(rbar), gf2.mul_rows(checks, pick)),
-        s=BitMatrix.trusted(len(checks), y.cols, gf2.mul_rows(checks, y.row_ints)),
-    )
+    k, y = gen.k, batch.y
+    p = gen.matrix.row_ints[k:]
+    last_first = p[::-1]
+    cols = []
+    for r in batch.rbar:
+        if r >= k:
+            cols.append(1 << (r - k))
+        else:
+            col = 0  # bit i = bit r of check i, shifted in from the last check
+            for p_i in last_first:
+                col = col << 1 | p_i >> r & 1
+            cols.append(col)
+    checks = [p_i | 1 << i for i, p_i in enumerate(p, k)]
+    s = BitMatrix.trusted(len(checks), y.cols, gf2.mul_rows(checks, y.row_ints))
+    return SyndromeSystem.from_columns(cols, s)
 
 
 def redecode(

@@ -1,7 +1,8 @@
 """Syndrome system and exact first-hit search, shared by both repairs.
 
-A `SyndromeSystem` holds ht = (H restricted to the corrupted rows)ᵀ and
-the syndrome s.  Both receivers solve one linear system ht·w = t per bit
+A `SyndromeSystem` holds ht = (H restricted to the corrupted rows)ᵀ,
+kept as its L columns, and the syndrome s, kept as its runs of equal
+column targets.  Both receivers solve one linear system ht·w = t per bit
 position, querying candidate error columns w in a fixed order until the
 syndrome ht·w, the XOR of the columns of ht that w selects, equals t;
 they differ only in that order.  A decoder's order (`CandidateOrder`) is
@@ -9,9 +10,10 @@ a generator of candidate masks in query order and a rule that picks,
 from any set of masks, the one it queries first, with its position.
 
 The solutions of one column form a coset x0 + ker(ht) of dimension
-d = L - rank(ht).  Reducing the columns of ht once per system in a
-`gf2.Echelon`, with a record of which columns were combined, gives a
-particular solution x0 for any target and a basis of the kernel.  A
+d = L - rank(ht).  Reducing the nonzero columns of ht once per system in
+a `gf2.Echelon`, with a record of which columns were combined, gives a
+particular solution x0 for any target and a basis of the kernel; each
+zero column is a kernel vector as it stands.  A
 target is then resolved in two steps:
 
 - scan: test candidates in query order, at most min(2^d, cap) of them.
@@ -26,14 +28,18 @@ the column unresolved at a cost of min(2^L, cap) queries, exactly as if
 the order had been walked to the cap.
 
 One loop (`repair_columns`) solves the B columns of a system left to
-right.  A decoder supplies only the order for each column's prior (the
-previous column's estimate), and the system keeps one search per order,
-so every column and decoder that names an equal order shares its scan.
+right, a run of equal targets at a time.  A decoder supplies only the
+order for each column's prior (the previous column's estimate), and the
+system keeps one search per order, so every column and decoder that
+names an equal order shares its scan.  Inside a run, once a column's
+estimate names the search that produced it, the rest of the run repeats
+that answer without a lookup: sd after one step, tgrand once an
+estimate is its own most likely successor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Protocol, Sequence
 
@@ -59,30 +65,36 @@ class CandidateOrder(Protocol):
 class SearchCore:
     """Coset structure of one syndrome system, eliminated once.
 
-    Column j of ``ht`` enters one `gf2.Echelon` as the row (column j,
+    ``cols`` are the columns of ht, as masks over the ``checks`` checks.
+    A nonzero column j enters one `gf2.Echelon` as the row (column j,
     1 << j), so each right side records which original columns were
-    combined.  A column that reduces to zero leaves the mask of a kernel
-    vector, and `particular` is the echelon's `reduce`: some w with
-    ht·w = target, or None when the target is out of reach.  `dim` is the
-    coset dimension d = L - rank(ht); for a received batch it equals
-    K - rank(G_R).
+    combined, and a leftover is the mask of a kernel vector; a zero column
+    is the kernel vector 1 << j itself and is not added.  `particular` is
+    the echelon's `reduce`: some w with ht·w = target, or None when the
+    target is out of reach.  `dim` is the coset dimension
+    d = L - rank(ht); for a received batch it equals K - rank(G_R).
 
     One core serves every candidate order over the same system.
     """
 
-    def __init__(self, ht: BitMatrix):
-        cols, n = ht.col_ints(), ht.rows
-        ech = Echelon(n, ht.cols)
+    def __init__(self, cols: Sequence[int], checks: int):
+        ech = Echelon(checks, len(cols))
         add = ech.add
-        self._kernel = [w >> n for j, col in enumerate(cols) if (w := add(col, 1 << j))]
+        kernel = []
+        for j, col in enumerate(cols):
+            if not col:
+                kernel.append(1 << j)
+            elif w := add(col, 1 << j):
+                kernel.append(w >> checks)
+        self._kernel = kernel
         self.particular = ech.reduce
-        self.dim = ht.cols - ech.rank
-        self.num_unknowns = ht.cols
-        self._cols = cols
+        self.dim = len(cols) - ech.rank
+        self.num_unknowns = len(cols)
+        self.cols = tuple(cols)
 
     def syndrome(self, mask: int) -> int:
         """ht·w for the candidate w = `mask`: the XOR of the columns it selects."""
-        cols, s = self._cols, 0
+        cols, s = self.cols, 0
         while mask:
             low = mask & -mask
             s ^= cols[low.bit_length() - 1]
@@ -97,27 +109,72 @@ class SearchCore:
         return members
 
 
-@dataclass(frozen=True)
+# One run of equal column targets: (first column, end column, target).
+Run = tuple[int, int, int]
+
+
+def column_runs(rows: Sequence[int], width: int) -> tuple[Run, ...]:
+    """The maximal runs of equal columns of the matrix with rows ``rows``
+    and ``width`` columns, left to right.
+
+    Column b > 0 starts a run where some row's bit b differs from its bit
+    b - 1, a set bit of row ^ row << 1.  A run's target (bit i = row i's
+    bit) is read from its first column only: the rows are transposed at
+    the run starts alone.
+    """
+    starts = 1
+    for r in rows:
+        starts |= r ^ r << 1
+    starts &= (1 << width) - 1
+    firsts = [0] * width
+    for i, r in enumerate(rows):
+        r &= starts
+        while r:
+            low = r & -r
+            firsts[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    runs = []
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        b = low.bit_length() - 1
+        runs.append((b, (starts & -starts).bit_length() - 1 if starts else width, firsts[b]))
+    return tuple(runs)
+
+
 class SyndromeSystem:
     """Per-batch syndrome system: ht = (H_corrupted)ᵀ of shape (N-K)×L, s = (N-K)×B.
 
-    The columns of ht are eliminated (`core`) and s is split into its B
-    column targets (`targets`) once, when the system is built, so every
-    repair run on the system shares that work; `search` shares each order's search.
+    The columns of ht are eliminated (`core`) and s is split into its
+    runs of equal column targets (`runs`) once, when the system is built,
+    so every repair run on the system shares that work; `search` shares
+    each order's search.  ``SyndromeSystem(ht=, s=)`` takes ht as a
+    matrix; `from_columns` takes its L columns (`core.cols`), which is how
+    `pipeline.syndrome_system` builds it, so ht's rows are never formed.
     """
 
-    ht: BitMatrix
-    s: BitMatrix
-    core: SearchCore = field(init=False, repr=False, compare=False)
-    targets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _searches: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.s.rows != self.ht.rows:
+    def __init__(self, ht: BitMatrix, s: BitMatrix):
+        if s.rows != ht.rows:
             raise ValueError("syndrome row count must match parity-check row count")
-        object.__setattr__(self, "core", SearchCore(self.ht))
-        object.__setattr__(self, "targets", self.s.col_ints())
-        object.__setattr__(self, "_searches", {})
+        self._build(ht.col_ints(), s)
+
+    @classmethod
+    def from_columns(cls, cols: Sequence[int], s: BitMatrix) -> "SyndromeSystem":
+        """The system whose ht has columns ``cols``, masks over s's rows."""
+        system = object.__new__(cls)
+        system._build(cols, s)
+        return system
+
+    def _build(self, cols: Sequence[int], s: BitMatrix) -> None:
+        self.s = s
+        self.core = SearchCore(cols, s.rows)
+        self.runs = column_runs(s.row_ints, s.cols)
+        self._searches: dict = {}
+
+    @property
+    def targets(self) -> tuple[int, ...]:
+        """The B column targets of s (bit i = check i)."""
+        return self.s.col_ints()
 
     def search(self, order: CandidateOrder, query_cap: int) -> OrderedSearch:
         """The one search in `order` under `query_cap`.  It holds the core, never
@@ -201,27 +258,56 @@ def repair_columns(
     for a column whose predecessor was estimated as ``prior``.
 
     The prior of the first column is 0.  An unresolved column is left
-    all-zero, so the next column's prior is 0 again.
+    all-zero, so the next column's prior is 0 again.  The columns of one
+    run share a target, and `OrderedSearch.find` depends only on (search,
+    target): once the search the next column would use is the one that
+    just answered, every remaining column of the run gets the same
+    (estimate, queries), written with one run mask per estimate bit.
     """
     searches: dict[int, OrderedSearch] = {}
-    rows = [0] * system.ht.cols
+
+    def new_search(prior: int) -> OrderedSearch:
+        search = searches[prior] = system.search(order_for(prior), query_cap)
+        return search
+
+    rows = [0] * system.core.num_unknowns
     queries: list[int] = []
     unresolved: list[int] = []
-    prior = 0
-    for b, target in enumerate(system.targets):
-        search = searches.get(prior)
+    prior, search = 0, None  # search: the one for `prior`, once looked up
+    for b, end, target in system.runs:
         if search is None:
-            search = searches[prior] = system.search(order_for(prior), query_cap)
-        mask, q = search.find(target)
-        queries.append(q)
-        if mask is None:
-            unresolved.append(b)
-            mask = 0
-        prior = bits = mask
-        while bits:
-            low = bits & -bits
-            rows[low.bit_length() - 1] |= 1 << b
-            bits ^= low
+            search = searches.get(prior) or new_search(prior)
+        while True:
+            # A memo hit needs no call.
+            mask, q = search._found.get(target) or search.find(target)
+            hit = mask or 0
+            if hit == prior:
+                stop = end
+            elif b + 1 < end:
+                prior = hit
+                nxt = searches.get(hit) or new_search(hit)
+                stop = end if nxt is search else b + 1
+                search = nxt
+            else:
+                prior, search, stop = hit, None, end
+            # Columns b..stop-1 get (mask, q); a single column is the common case.
+            if stop - b == 1:
+                queries.append(q)
+                if mask is None:
+                    unresolved.append(b)
+                span = 1 << b
+            else:
+                queries += [q] * (stop - b)
+                if mask is None:
+                    unresolved += range(b, stop)
+                span = (1 << stop) - (1 << b)
+            while mask:
+                low = mask & -mask
+                rows[low.bit_length() - 1] |= span
+                mask ^= low
+            if stop == end:
+                break
+            b = stop
     return RepairResult(
         e_hat=BitMatrix.trusted(len(rows), len(queries), tuple(rows)),
         unresolved=tuple(unresolved),

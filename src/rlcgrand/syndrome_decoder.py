@@ -7,9 +7,10 @@ consistent with that syndrome.  Candidates are queried in weight order
 (0, 1, 2, ...), lexicographic by support within a weight, so runs are
 reproducible; a query cap bounds the search per column.
 
-This is `tgrand.LikelihoodOrder` at the all-zero prior with the weight
-class table ((0, 0), (1, 0), ..., (L, 0)), one search for every column,
-which tgrand shares wherever its order equals this one (`search.py`).
+This is `tgrand.weight_order`: `LikelihoodOrder` at the all-zero prior
+with the weight class table ((0, 0), (1, 0), ..., (L, 0)), one search
+for every column, which tgrand shares wherever its order equals this
+one (`search.py`).
 Its classes are the weights, so when the search ranks a coset, the order
 picks the lightest members and ranks only those lexicographically.  The
 estimate and the query count equal those of walking the weight order to
@@ -18,26 +19,17 @@ the first hit, or to the cap.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import gf2
 from .gf2 import BitMatrix
 from .rlc import ParityCheck
 from .search import DEFAULT_QUERY_CAP, RepairResult, SyndromeSystem, repair_columns
-from .tgrand import LikelihoodOrder
+from .tgrand import weight_order
 
 
 def compute_syndrome(h: ParityCheck, y: BitMatrix) -> BitMatrix:
     """S = Hᵀ·Y; independent of the transmitted data because Hᵀ·G = 0.  The
     reference that `pipeline.syndrome_system`'s direct build must equal."""
     return gf2.matmul(h.matrix.transpose(), y)
-
-
-@lru_cache(maxsize=None)
-def weight_order(l: int) -> LikelihoodOrder:
-    """sd's candidate order over L unknowns: weight 0, 1, 2, ...; supports
-    in lexicographic order within a weight."""
-    return LikelihoodOrder(0, l, tuple((w, 0) for w in range(l + 1)))
 
 
 def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> RepairResult:
@@ -47,5 +39,5 @@ def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> Rep
     in `unresolved`.  The weight order ignores the previous column, so
     one search serves every target.
     """
-    order = weight_order(system.ht.cols)
+    order = weight_order(system.core.num_unknowns)
     return repair_columns(system, lambda prior: order, query_cap)

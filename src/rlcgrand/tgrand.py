@@ -32,8 +32,10 @@ equal those of walking the order to the first hit, or to the query cap.
 An order is a prior plus its class table, equal to any order with the
 same (prior, L, table).  `likelihood_order` takes the table of the
 channel's (p01, p10); syndrome decoding takes the all-zero prior with the
-weight table ((0, 0), (1, 0), ..., (L, 0)), and shares a system's search
-with tgrand wherever the two tables agree.
+weight table ((0, 0), (1, 0), ..., (L, 0)) (`weight_order`), and shares a
+system's search with tgrand wherever the two tables agree; there
+`likelihood_order` returns `weight_order` itself.  Every system asks for
+that order, so it alone keeps its leading masks in a bounded memo.
 """
 
 from __future__ import annotations
@@ -194,8 +196,15 @@ def tg_repair(
     from the all-zero prior.  Columns with the same prior share one
     search, so a repeated (prior, target) pair is answered from memory.
     """
-    order_for = partial(likelihood_order, l=system.ht.cols, p01=params.p01, p10=params.p10)
+    l = system.core.num_unknowns
+    order_for = partial(likelihood_order, l=l, p01=params.p01, p10=params.p10)
     return repair_columns(system, order_for, query_cap)
+
+
+# The bound of `weight_order(l)`'s memo, per L: at most this many of its
+# first masks, in whole classes, kept so that every system reuses them
+# instead of generating them again.
+MEMO_MASKS = 1 << 10
 
 
 class LikelihoodOrder:
@@ -206,9 +215,16 @@ class LikelihoodOrder:
     A candidate's position is the offset of its class (the candidates of
     the classes before it) plus its rank inside the class, where the
     zero-side flips are the major and the one-side flips the minor index.
+
+    With ``memo``, `masks` serves its leading classes from one list shared
+    by all its iterators, grown a whole class at a time while it holds at
+    most `MEMO_MASKS` masks; past that it generates as usual.  Only
+    `weight_order` memoises: every system asks for it.
     """
 
-    def __init__(self, prior_mask: int, l: int, classes: tuple[tuple[int, int], ...]):
+    def __init__(
+        self, prior_mask: int, l: int, classes: tuple[tuple[int, int], ...], memo: bool = False
+    ):
         self._key = (prior_mask, l, classes)
         self._hash = hash(self._key)
         self._prior = prior_mask
@@ -218,6 +234,9 @@ class LikelihoodOrder:
         self._one_bits = [1 << j for j in range(l) if prior_mask >> j & 1]
         self._stride = len(self._one_bits) + 1
         self._offsets = _class_offsets(classes, len(self._zero_bits), len(self._one_bits))
+        # The masks of the first `_memo_classes` classes, when memoising.
+        self._memo: list[int] | None = [] if memo else None
+        self._memo_classes = 0
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LikelihoodOrder) and self._key == other._key
@@ -226,12 +245,36 @@ class LikelihoodOrder:
         return self._hash
 
     def masks(self) -> Iterator[int]:
+        if self._memo is None:
+            return self._walk(self._classes)
+        return self._memo_walk()
+
+    def _walk(self, classes: Sequence[tuple[int, int]]) -> Iterator[int]:
         prior, zero_bits, one_bits = self._prior, self._zero_bits, self._one_bits
-        for l0, l1 in self._classes:
+        for l0, l1 in classes:
             bases = [prior ^ sum(c) for c in combinations(one_bits, l1)]
             for f0 in map(sum, combinations(zero_bits, l0)):
                 for base in bases:
                     yield f0 ^ base
+
+    def _memo_walk(self) -> Iterator[int]:
+        memo, classes = self._memo, self._classes
+        yield from memo
+        n = len(memo)
+        while True:
+            while n < len(memo):  # classes another iterator added meanwhile
+                yield memo[n]
+                n += 1
+            c = self._memo_classes
+            if c == len(classes):
+                return
+            l0, l1 = classes[c]
+            size = math.comb(len(self._zero_bits), l0) * math.comb(len(self._one_bits), l1)
+            if n + size > MEMO_MASKS:
+                yield from self._walk(classes[c:])
+                return
+            memo += self._walk(classes[c : c + 1])
+            self._memo_classes = c + 1
 
     def first(self, masks: Sequence[int]) -> tuple[int, int]:
         zeros, prior, stride, offsets = self._zeros, self._prior, self._stride, self._offsets
@@ -256,9 +299,21 @@ class LikelihoodOrder:
 
 @lru_cache(maxsize=1024)
 def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> LikelihoodOrder:
-    """The channel's `LikelihoodOrder` for (prior, L); priors recur across systems."""
+    """The channel's `LikelihoodOrder` for (prior, L); priors recur across systems.
+    Where it equals the weight order, it is `weight_order(l)` and its memo."""
     ones = prior_mask.bit_count()
-    return LikelihoodOrder(prior_mask, l, _class_table(p01, p10, l - ones, ones))
+    classes = _class_table(p01, p10, l - ones, ones)
+    if not prior_mask and classes == weight_order(l)._classes:
+        return weight_order(l)
+    return LikelihoodOrder(prior_mask, l, classes)
+
+
+@lru_cache(maxsize=None)
+def weight_order(l: int) -> LikelihoodOrder:
+    """Syndrome decoding's candidate order over L unknowns: weight 0, 1, 2,
+    ...; supports in lexicographic order within a weight.  It memoises its
+    leading classes (`MEMO_MASKS`)."""
+    return LikelihoodOrder(0, l, tuple((w, 0) for w in range(l + 1)), memo=True)
 
 
 @lru_cache(maxsize=4096)

@@ -78,3 +78,66 @@ class TestVerdict:
         assert summary["trials_per_s_norm"]["shift"] > 0
         assert summary["operations"]["change"] == {"attempted": 400, "failed": 1}
         assert summary["worse"] == ["failed share"]
+
+
+def paired_runs(parent_rates, change_rates, peak=50.0):
+    """Alternating runs with the given trials_per_s_norm values, pair by pair."""
+    out = []
+    for pair, (p, c) in enumerate(zip(parent_rates, change_rates)):
+        for side, rate in (("parent", p), ("change", c)):
+            out.append({"side": side, "pair": pair, "attempted": 100, "failed": 0,
+                        "metrics": {"trials_per_s_norm": rate, "peak_rss_mb": peak}})
+    return out
+
+
+# Quartiles 101.75 and 107.25 (statistics.quantiles), so the IQR is 5.5.
+PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+class TestGainRule:
+    """A metric meets the gain rule when the change won at least 9 of 10
+    pairs and its median beats the parent's by more than the parent's
+    interquartile range."""
+
+    def test_nine_wins_and_a_gap_past_the_iqr_meet_it(self):
+        change = [p + 6.0 for p in PARENT]
+        change[3] = PARENT[3] - 1.0  # one pair lost
+        rate = load_script()._summarise(paired_runs(PARENT, change), DECLARED)["trials_per_s_norm"]
+        assert (rate["change_wins"], rate["pairs"]) == (9, 10)
+        assert rate["meets_gain_rule"]
+
+    def test_eight_wins_do_not(self):
+        change = [p + 10.0 for p in PARENT]
+        change[3], change[7] = PARENT[3] - 1.0, PARENT[7] - 1.0
+        rate = load_script()._summarise(paired_runs(PARENT, change), DECLARED)["trials_per_s_norm"]
+        assert rate["change_wins"] == 8 and rate["shift"] > 0
+        assert not rate["meets_gain_rule"]
+
+    def test_a_gap_within_the_iqr_does_not(self):
+        change = [p + 5.0 for p in PARENT]  # 10/10 pairs won, gap 5 < IQR 5.5
+        rate = load_script()._summarise(paired_runs(PARENT, change), DECLARED)["trials_per_s_norm"]
+        assert rate["change_wins"] == 10
+        assert not rate["meets_gain_rule"]
+
+    def test_lower_is_better_counts_a_drop_as_the_gain(self):
+        runs = paired_runs(PARENT, PARENT)
+        for r in runs:
+            if r["side"] == "change":
+                r["metrics"]["peak_rss_mb"] = 45.0
+        summary = load_script()._summarise(runs, DECLARED)
+        assert summary["peak_rss_mb"]["meets_gain_rule"]
+        assert not summary["trials_per_s_norm"]["meets_gain_rule"]  # all ties
+
+    def test_the_printed_line_states_it(self, capsys):
+        script = load_script()
+        change = [p + 6.0 for p in PARENT]
+        summary = script._summarise(paired_runs(PARENT, change), DECLARED)
+        summary["digests"] = script._compare_digests(
+            [{**r, "digest": "a"} for r in paired_runs(PARENT, change)]
+        )
+        script._print_summary("deficit", 1, summary)
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("  trials_per_s_norm") and "gain rule met" in line
+                   for line in lines)
+        assert any(line.startswith("  peak_rss_mb") and "gain rule not met" in line
+                   for line in lines)

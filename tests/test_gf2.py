@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -51,6 +54,45 @@ class TestConstruction:
         m = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
         assert m.transpose().transpose() == m
         assert m.transpose().to_rows() == [[1, 0], [1, 1], [0, 1]]
+
+
+class TestImmutable:
+    """No attribute of a BitMatrix can be set or deleted, however it was built."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BitMatrix(2, 2, [1, 2]),
+            lambda: BitMatrix.trusted(2, 2, (1, 2)),
+            lambda: BitMatrix.identity(2),
+            lambda: BitMatrix.zeros(0, 0),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["rows", "cols", "row_ints", "other"])
+    def test_assignment_and_deletion_raise(self, make, name):
+        m = make()
+        before = (m.rows, m.cols, m.row_ints)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, (2, 1))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(m, name)
+        assert (m.rows, m.cols, m.row_ints) == before
+        assert type(m) is BitMatrix
+
+    def test_the_shared_identity_cannot_be_corrupted(self):
+        # Generators are checked against the one cached I_K: were it
+        # assignable, a bad top block would pass that check.
+        with pytest.raises(AttributeError):
+            BitMatrix.identity(2).row_ints = (2, 1)
+        assert BitMatrix.identity(2).row_ints == (1, 2)
+        assert rlc.make_generator(2, 3, 5).matrix.row_ints[:2] == (1, 2)
+        with pytest.raises(ValueError, match="identity"):
+            rlc.Generator(k=2, n=3, matrix=BitMatrix.from_rows([[0, 1], [1, 0], [1, 1]]))
+
+    def test_copies_and_pickles_equal_the_original(self):
+        m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        assert copy.copy(m) == m and copy.deepcopy(m) == m
+        assert pickle.loads(pickle.dumps(m)) == m
 
 
 class TestMatmul:

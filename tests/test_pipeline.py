@@ -189,7 +189,7 @@ def test_receiver_invariants_on_random_batches(k, extra, b, gseed, useed, eseed)
     assert syndrome == gf2.matmul(ht_rbar, e.take_rows(batch.rbar))
 
     system = pipeline.syndrome_system(batch, g)
-    assert system.ht == ht_rbar and system.s == syndrome
+    assert system.core.cols == ht_rbar.col_ints() and system.s == syndrome
 
     fresh = {m: _repair(m, pipeline.syndrome_system(batch, g), params) for m in ("sd", "tgrand")}
     for order in (("sd", "tgrand"), ("tgrand", "sd")):
@@ -241,17 +241,16 @@ def test_direct_syndrome_system_equals_the_h_oracle(k, extra, b, gseed, yseed, k
     batch = pipeline.ReceivedBatch(y=y, truth_x=y, r=r, rbar=rbar)
 
     h = rlc.parity_check(g)
-    expected = SyndromeSystem(
-        ht=h.matrix.take_rows(rbar).transpose(), s=sd.compute_syndrome(h, y)
-    )
+    ht = h.matrix.take_rows(rbar).transpose()
+    expected = SyndromeSystem(ht=ht, s=sd.compute_syndrome(h, y))
     system = pipeline.syndrome_system(batch, g)
-    assert system.ht == expected.ht and system.s == expected.s
+    assert system.core.cols == ht.col_ints() and system.s == expected.s
     assert system.targets == expected.targets
     assert system.core.dim == k - gf2.rank(g.matrix.take_rows(r))
 
     # Every column target: a particular solution exactly when the target
     # lies in the column space of H_R̄ᵀ, and a coset of 2^d members.
-    core, ht = system.core, system.ht
+    core = system.core
     column_space = row_span(ht.transpose())
     for t in system.targets:
         x0 = core.particular(t)
@@ -259,3 +258,35 @@ def test_direct_syndrome_system_equals_the_h_oracle(k, extra, b, gseed, yseed, k
         if x0 is not None:
             assert syndrome_of_mask(ht, x0) == t
             assert len(core.coset(x0)) == 2**core.dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([1, 63, 64, 65]), st.integers(0, 2**32 - 1),
+       st.integers(0, 2**32 - 1), st.data())
+def test_column_first_build_at_one_check(k, b, gseed, yseed, data):
+    """At N = K + 1 (`deficit`) H_R̄ᵀ has one row, so about half of its
+    columns are zero: each is a kernel vector that never enters the
+    echelon.  The column-first build must agree with `SyndromeSystem`
+    built from the H oracle on the coset dimension, the coset of every
+    target, the targets and their runs."""
+    n = k + 1
+    g = rlc.make_generator(k, n, gseed)
+    y = random_bit_matrix(yseed, n, b)
+    picks = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="corrupted")
+    rbar = tuple(i for i in range(n) if picks[i])
+    r = tuple(i for i in range(n) if not picks[i])
+    batch = pipeline.ReceivedBatch(y=y, truth_x=y, r=r, rbar=rbar)
+
+    h = rlc.parity_check(g)
+    expected = SyndromeSystem(ht=h.matrix.take_rows(rbar).transpose(), s=sd.compute_syndrome(h, y))
+    system = pipeline.syndrome_system(batch, g)
+    p = g.matrix.row_ints[k]
+    assert system.core.cols == tuple(p >> i & 1 if i < k else 1 for i in rbar)
+    assert system.core.dim == expected.core.dim == k - gf2.rank(g.matrix.take_rows(r))
+    assert system.targets == expected.targets
+    assert system.runs == expected.runs
+    for t in (0, 1):
+        x0, want = system.core.particular(t), expected.core.particular(t)
+        assert (x0 is None) == (want is None)
+        if x0 is not None:
+            assert set(system.core.coset(x0)) == set(expected.core.coset(want))

@@ -40,7 +40,7 @@ class TestCosetDimension:
         y, _ = channel.apply(ChannelParams.from_eps_lambda(eps, burst_len), x, nseed)
         batch = classify(y, x)
         ht = parity_check(gen).matrix.take_rows(batch.rbar).transpose()
-        core = SearchCore(ht)
+        core = SearchCore(ht.col_ints(), ht.rows)
         assert core.dim == len(batch.rbar) - gf2.rank(ht)
         assert core.dim == k - gf2.rank(gen.matrix.take_rows(batch.r))
 
@@ -50,7 +50,7 @@ class TestCoset:
     @given(st.integers(0, 5), st.integers(0, 6), seed)
     def test_coset_is_the_solution_set(self, checks, unknowns, hseed):
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht)
+        core = SearchCore(ht.col_ints(), ht.rows)
         for target in range(1 << checks):
             solutions = {m for m in range(1 << unknowns) if syndrome_of_mask(ht, m) == target}
             x0 = core.particular(target)
@@ -67,7 +67,7 @@ class TestCoset:
         # L runs across the byte boundaries 8/9 and 16/17; the empty and
         # the full mask are always checked.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht)
+        core = SearchCore(ht.col_ints(), ht.rows)
         full = (1 << unknowns) - 1
         for m in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=20))]:
             assert core.syndrome(m) == syndrome_of_mask(ht, m)
@@ -136,7 +136,7 @@ class TestWorkBound:
         # 2^d coset members are ranked per target.  One core serves
         # searches with different caps.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht)
+        core = SearchCore(ht.col_ints(), ht.rows)
         for query_cap in (cap, 1 << 20):
             order = CountingWeightOrder(unknowns)
             search = OrderedSearch(core, order, query_cap)
@@ -151,7 +151,7 @@ class TestWorkBound:
         # 16 unknowns, 2 independent checks: d = 14.  Every target, with a
         # cap that cuts the scan short and with the default cap.
         ht = random_bit_matrix(1, 2, 16)
-        core = SearchCore(ht)
+        core = SearchCore(ht.col_ints(), ht.rows)
         assert core.dim == 14
         params = ChannelParams(p01=0.1, p10=0.3)
         prior = 0b0000111100110000
@@ -176,7 +176,7 @@ class TestWorkBound:
         groups = (4, 4, 3, 3, 3, 3)
         cols = tuple(1 << g for g, size in enumerate(groups) for _ in range(size))
         ht = BitMatrix.trusted(20, 6, cols).transpose()
-        core = SearchCore(ht)
+        core = SearchCore(ht.col_ints(), ht.rows)
         assert core.dim == 14
         stream = list(islice(weight_order(20), 1 << 15))  # holds every first hit here
         params = ChannelParams(p01=0.1, p10=0.3)
@@ -304,16 +304,18 @@ class TestCapAtDriverSizes:
             None,
         )
         assume(system is not None)
-        ht, unknowns = system.ht, system.ht.cols
+        cols, checks = system.core.cols, system.s.rows
+        unknowns = len(cols)
         # A trial's targets all lie in the column space of ht.  When ht's
         # rank is short of its rows, plant one target outside it, so the
         # out-of-reach miss is checked too.
         reach = system.core.particular
-        outside = next((t for t in range(1 << ht.rows) if reach(t) is None), None)
+        outside = next((t for t in range(1 << checks) if reach(t) is None), None)
         if outside is not None:
             b = data.draw(st.integers(0, 63), label="planted column")
             rows = [r & ~(1 << b) | (outside >> i & 1) << b for i, r in enumerate(system.s.row_ints)]
-            system = sd.SyndromeSystem(ht=ht, s=BitMatrix.trusted(ht.rows, 64, tuple(rows)))
+            s = BitMatrix.trusted(checks, 64, tuple(rows))
+            system = sd.SyndromeSystem.from_columns(cols, s)
         d = system.core.dim
 
         sd_default = column_hits(sd.sd_repair(system))
@@ -336,3 +338,73 @@ class TestCapAtDriverSizes:
                 hit = system.search(order, DEFAULT_QUERY_CAP).find(target)
                 assert (mask, q) == truncated(hit, cap, unknowns)
                 prior = mask or 0
+
+
+@st.composite
+def run_system(draw):
+    """(ht, s) with S drawn as runs of equal columns: B in {1, 63, 64, 65,
+    129}, run lengths up to B, so a run may cover columns 0 and B - 1 or
+    the whole of S.  A run's target is ht·e for a drawn e, or any value,
+    which may lie outside the column space of ht."""
+    checks, unknowns = draw(st.integers(0, 5)), draw(st.integers(0, 7))
+    ht = random_bit_matrix(draw(seed), checks, unknowns)
+    b = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    targets = []
+    while len(targets) < b:
+        length = draw(st.integers(1, b - len(targets)))
+        if draw(st.booleans()):
+            target = syndrome_of_mask(ht, draw(st.integers(0, (1 << unknowns) - 1)))
+        else:
+            target = draw(st.integers(0, (1 << checks) - 1))
+        targets += [target] * length
+    s = BitMatrix.trusted(b, checks, tuple(targets)).transpose()
+    return ht, s
+
+
+class TestRunWalk:
+    """`repair_columns` walks runs of equal targets; every column still
+    reports what walking the order column by column reports."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        run_system(), st.integers(1, 300) | st.sampled_from([1, 2, 3, 4, 1 << 20]),
+        st.integers(1, 15).map(lambda i: i / 16.0), st.integers(1, 15).map(lambda i: i / 16.0),
+    )
+    def test_repairs_match_enumeration(self, system_rows, cap, p01, p10):
+        # p10 >= 1/2 is drawn about half the time: an order whose first
+        # class is not its prior, so tgrand may take more than two steps
+        # in a run.
+        ht, s = system_rows
+        system = sd.SyndromeSystem(ht=ht, s=s)
+        targets = system.targets
+        starts = [j for j in range(s.cols) if j == 0 or targets[j] != targets[j - 1]]
+        ends = starts[1:] + [s.cols]
+        assert system.runs == tuple(zip(starts, ends, (targets[j] for j in starts)))
+        params = ChannelParams(p01=p01, p10=p10)
+        assert_repair_matches(sd.sd_repair(system, cap), sd_repair_by_enumeration(ht, s, cap))
+        assert_repair_matches(
+            tgrand.tg_repair(system, params, cap), tg_repair_by_enumeration(ht, s, params, cap)
+        )
+
+    @pytest.mark.parametrize("b", [1, 63, 64, 65, 129])
+    def test_a_capped_run_is_unresolved_in_every_column(self, b):
+        # Three runs (one when B = 1): zeros, a target first hit at query
+        # 3, zeros again.  Under cap 2 the middle run is unresolved in
+        # every column, each charged min(2^L, cap) = 2; the zero runs
+        # resolve at query 1.
+        ht = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])  # columns 0b01, 0b11, 0b10
+        lo, hi = b // 3, b - b // 3
+        targets = [0] * lo + [0b01 ^ 0b10] * (hi - lo) + [0] * (b - hi)
+        s = BitMatrix.trusted(b, 2, tuple(targets)).transpose()
+        system = sd.SyndromeSystem(ht=ht, s=s)
+        params = ChannelParams(p01=0.1, p10=0.3)
+        for res in (sd.sd_repair(system, 2), tgrand.tg_repair(system, params, 2)):
+            assert res.unresolved == tuple(range(lo, hi))
+            assert res.queries_per_column == (1,) * lo + (2,) * (hi - lo) + (1,) * (b - hi)
+            assert res.e_hat == BitMatrix.zeros(3, b)
+        # With the default cap, the run resolves to column 1 (weight 1: ht
+        # column 1 is 0b11) at query 3, in every column.
+        res = sd.sd_repair(system)
+        assert res.unresolved == ()
+        assert res.queries_per_column == (1,) * lo + (3,) * (hi - lo) + (1,) * (b - hi)
+        assert res.e_hat.row_ints == (0, (1 << hi) - (1 << lo), 0)
