@@ -40,7 +40,7 @@ estimate is its own most likely successor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 from typing import Callable, Iterator, Protocol, Sequence
 
 from .gf2 import BitMatrix, Echelon
@@ -113,42 +113,13 @@ class SearchCore:
 Run = tuple[int, int, int]
 
 
-def column_runs(rows: Sequence[int], width: int) -> tuple[Run, ...]:
-    """The maximal runs of equal columns of the matrix with rows ``rows``
-    and ``width`` columns, left to right.
-
-    Column b > 0 starts a run where some row's bit b differs from its bit
-    b - 1, a set bit of row ^ row << 1.  A run's target (bit i = row i's
-    bit) is read from its first column only: the rows are transposed at
-    the run starts alone.
-    """
-    starts = 1
-    for r in rows:
-        starts |= r ^ r << 1
-    starts &= (1 << width) - 1
-    firsts = [0] * width
-    for i, r in enumerate(rows):
-        r &= starts
-        while r:
-            low = r & -r
-            firsts[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    runs = []
-    while starts:
-        low = starts & -starts
-        starts ^= low
-        b = low.bit_length() - 1
-        runs.append((b, (starts & -starts).bit_length() - 1 if starts else width, firsts[b]))
-    return tuple(runs)
-
-
 class SyndromeSystem:
     """Per-batch syndrome system: ht = (H_corrupted)ᵀ of shape (N-K)×L, s = (N-K)×B.
 
-    The columns of ht are eliminated (`core`) and s is split into its
-    runs of equal column targets (`runs`) once, when the system is built,
-    so every repair run on the system shares that work; `search` shares
-    each order's search.  ``SyndromeSystem(ht=, s=)`` takes ht as a
+    The columns of ht are eliminated (`core`), and s's column targets
+    (`targets`) are read and grouped into runs of equal targets (`runs`)
+    once, when the system is built, so every repair run on the system
+    shares that work; `search` shares each order's search.  ``SyndromeSystem(ht=, s=)`` takes ht as a
     matrix; `from_columns` takes its L columns (`core.cols`), which is how
     `pipeline.syndrome_system` builds it, so ht's rows are never formed.
     """
@@ -168,13 +139,16 @@ class SyndromeSystem:
     def _build(self, cols: Sequence[int], s: BitMatrix) -> None:
         self.s = s
         self.core = SearchCore(cols, s.rows)
-        self.runs = column_runs(s.row_ints, s.cols)
+        # The B column targets of s (bit i = check i), and their runs.
+        self.targets = s.col_ints()
+        runs: list[Run] = []
+        b = 0
+        for target, group in groupby(self.targets):
+            end = b + len(list(group))
+            runs.append((b, end, target))
+            b = end
+        self.runs = tuple(runs)
         self._searches: dict = {}
-
-    @property
-    def targets(self) -> tuple[int, ...]:
-        """The B column targets of s (bit i = check i)."""
-        return self.s.col_ints()
 
     def search(self, order: CandidateOrder, query_cap: int) -> OrderedSearch:
         """The one search in `order` under `query_cap`.  It holds the core, never
@@ -278,8 +252,7 @@ def repair_columns(
         if search is None:
             search = searches.get(prior) or new_search(prior)
         while True:
-            # A memo hit needs no call.
-            mask, q = search._found.get(target) or search.find(target)
+            mask, q = search.find(target)
             hit = mask or 0
             if hit == prior:
                 stop = end
@@ -290,17 +263,11 @@ def repair_columns(
                 search = nxt
             else:
                 prior, search, stop = hit, None, end
-            # Columns b..stop-1 get (mask, q); a single column is the common case.
-            if stop - b == 1:
-                queries.append(q)
-                if mask is None:
-                    unresolved.append(b)
-                span = 1 << b
-            else:
-                queries += [q] * (stop - b)
-                if mask is None:
-                    unresolved += range(b, stop)
-                span = (1 << stop) - (1 << b)
+            # Columns b..stop-1 get (mask, q).
+            queries += [q] * (stop - b)
+            if mask is None:
+                unresolved += range(b, stop)
+            span = (1 << stop) - (1 << b)
             while mask:
                 low = mask & -mask
                 rows[low.bit_length() - 1] |= span

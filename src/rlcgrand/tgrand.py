@@ -216,15 +216,14 @@ class LikelihoodOrder:
     the classes before it) plus its rank inside the class, where the
     zero-side flips are the major and the one-side flips the minor index.
 
-    With ``memo``, `masks` serves its leading classes from one list shared
-    by all its iterators, grown a whole class at a time while it holds at
-    most `MEMO_MASKS` masks; past that it generates as usual.  Only
-    `weight_order` memoises: every system asks for it.
+    The weight order (prior 0, classes `_weight_classes(l)`) is asked for
+    by every system, so its `masks` serves its leading classes from one
+    list shared by all its iterators, grown a whole class at a time while
+    it holds at most `MEMO_MASKS` masks; past that it generates as usual.
+    No other order memoises.
     """
 
-    def __init__(
-        self, prior_mask: int, l: int, classes: tuple[tuple[int, int], ...], memo: bool = False
-    ):
+    def __init__(self, prior_mask: int, l: int, classes: tuple[tuple[int, int], ...]):
         self._key = (prior_mask, l, classes)
         self._hash = hash(self._key)
         self._prior = prior_mask
@@ -234,8 +233,9 @@ class LikelihoodOrder:
         self._one_bits = [1 << j for j in range(l) if prior_mask >> j & 1]
         self._stride = len(self._one_bits) + 1
         self._offsets = _class_offsets(classes, len(self._zero_bits), len(self._one_bits))
-        # The masks of the first `_memo_classes` classes, when memoising.
-        self._memo: list[int] | None = [] if memo else None
+        # The masks of the first `_memo_classes` classes, for the weight order.
+        weight = not prior_mask and classes == _weight_classes(l)
+        self._memo: list[int] | None = [] if weight else None
         self._memo_classes = 0
 
     def __eq__(self, other: object) -> bool:
@@ -303,7 +303,7 @@ def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> Likelih
     Where it equals the weight order, it is `weight_order(l)` and its memo."""
     ones = prior_mask.bit_count()
     classes = _class_table(p01, p10, l - ones, ones)
-    if not prior_mask and classes == weight_order(l)._classes:
+    if not prior_mask and classes == _weight_classes(l):
         return weight_order(l)
     return LikelihoodOrder(prior_mask, l, classes)
 
@@ -313,7 +313,11 @@ def weight_order(l: int) -> LikelihoodOrder:
     """Syndrome decoding's candidate order over L unknowns: weight 0, 1, 2,
     ...; supports in lexicographic order within a weight.  It memoises its
     leading classes (`MEMO_MASKS`)."""
-    return LikelihoodOrder(0, l, tuple((w, 0) for w in range(l + 1)), memo=True)
+    return LikelihoodOrder(0, l, _weight_classes(l))
+
+
+def _weight_classes(l: int) -> tuple[tuple[int, int], ...]:
+    return tuple((w, 0) for w in range(l + 1))
 
 
 @lru_cache(maxsize=4096)

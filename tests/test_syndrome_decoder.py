@@ -164,14 +164,16 @@ class TestWeightOrder:
     @given(st.integers(0, 13), st.lists(st.integers(1, 600), min_size=1, max_size=40),
            st.booleans())
     def test_memo_serves_interleaved_iterators_past_its_bound(self, l, steps, fresh):
-        # Two masks() iterators of one memoising order, advanced in turn by
+        # Two masks() iterators of the weight order, advanced in turn by
         # the drawn step counts, then drained, each yield the oracle's
         # weight order: from the shared memo, from classes the other one
         # added, and past the memo's bound (2^13 masks at L = 13, against
-        # MEMO_MASKS = 1024).  A fresh order starts from an empty memo; the
-        # cached one from whatever earlier tests left in it.
+        # MEMO_MASKS = 1024).  A fresh order with the weight order's key
+        # memoises from an empty memo; the cached one from whatever earlier
+        # tests left in it.
         weights = tuple((w, 0) for w in range(l + 1))
-        order = tgrand.LikelihoodOrder(0, l, weights, memo=True) if fresh else sd.weight_order(l)
+        order = tgrand.LikelihoodOrder(0, l, weights) if fresh else sd.weight_order(l)
+        assert order._memo is not None
         expected = list(weight_order(l))
         its, got = [order.masks(), order.masks()], [[], []]
         for i, step in enumerate(steps):
@@ -181,6 +183,9 @@ class TestWeightOrder:
         assert got[0] == got[1] == expected
         assert list(order.masks()) == expected
         assert len(order._memo) <= tgrand.MEMO_MASKS
+        # Other orders, here one with a nonzero prior, keep no memo.
+        if l:
+            assert tgrand.likelihood_order(1, l, 0.1, 0.3)._memo is None
         assert tgrand.likelihood_order(0, l, 0.1, 0.3) is sd.weight_order(l)
 
 
