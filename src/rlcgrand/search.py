@@ -40,7 +40,7 @@ estimate is its own most likely successor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import islice
 from typing import Callable, Iterator, Protocol, Sequence
 
 from .gf2 import BitMatrix, Echelon
@@ -113,13 +113,34 @@ class SearchCore:
 Run = tuple[int, int, int]
 
 
+def column_runs(s: BitMatrix) -> tuple[Run, ...]:
+    """The maximal runs of equal columns of ``s``, left to right.
+
+    Column b > 0 starts a run where some row's bit b differs from its bit
+    b - 1, a set bit of row ^ row << 1.  Only the run starts are read as
+    targets: the columns of s's rows masked to the starts.
+    """
+    starts = 1
+    for r in s.row_ints:
+        starts |= r ^ r << 1
+    starts &= (1 << s.cols) - 1
+    firsts = BitMatrix.trusted(s.rows, s.cols, tuple(r & starts for r in s.row_ints)).col_ints()
+    runs = []
+    while starts:
+        low = starts & -starts
+        starts ^= low
+        b = low.bit_length() - 1
+        runs.append((b, (starts & -starts).bit_length() - 1 if starts else s.cols, firsts[b]))
+    return tuple(runs)
+
+
 class SyndromeSystem:
     """Per-batch syndrome system: ht = (H_corrupted)ᵀ of shape (N-K)×L, s = (N-K)×B.
 
-    The columns of ht are eliminated (`core`), and s's column targets
-    (`targets`) are read and grouped into runs of equal targets (`runs`)
-    once, when the system is built, so every repair run on the system
-    shares that work; `search` shares each order's search.  ``SyndromeSystem(ht=, s=)`` takes ht as a
+    The columns of ht are eliminated (`core`) and s is split into its
+    runs of equal column targets (`runs`) once, when the system is built,
+    so every repair run on the system shares that work; `search` shares
+    each order's search.  ``SyndromeSystem(ht=, s=)`` takes ht as a
     matrix; `from_columns` takes its L columns (`core.cols`), which is how
     `pipeline.syndrome_system` builds it, so ht's rows are never formed.
     """
@@ -139,16 +160,13 @@ class SyndromeSystem:
     def _build(self, cols: Sequence[int], s: BitMatrix) -> None:
         self.s = s
         self.core = SearchCore(cols, s.rows)
-        # The B column targets of s (bit i = check i), and their runs.
-        self.targets = s.col_ints()
-        runs: list[Run] = []
-        b = 0
-        for target, group in groupby(self.targets):
-            end = b + len(list(group))
-            runs.append((b, end, target))
-            b = end
-        self.runs = tuple(runs)
+        self.runs = column_runs(s)
         self._searches: dict = {}
+
+    @property
+    def targets(self) -> tuple[int, ...]:
+        """The B column targets of s (bit i = check i)."""
+        return self.s.col_ints()
 
     def search(self, order: CandidateOrder, query_cap: int) -> OrderedSearch:
         """The one search in `order` under `query_cap`.  It holds the core, never
