@@ -30,11 +30,12 @@ the order had been walked to the cap.
 One loop (`repair_columns`) solves the B columns of a system left to
 right, a run of equal targets at a time.  A decoder supplies only the
 order for each column's prior (the previous column's estimate), and the
-system keeps one search per order, so every column and decoder that
-names an equal order shares its scan.  Inside a run, once a column's
-estimate names the search that produced it, the rest of the run repeats
-that answer without a lookup: sd after one step, tgrand once an
-estimate is its own most likely successor.
+system keeps one search per (order, cap), by the order's identity, so
+every column and decoder that names the same order object shares its
+scan.  Inside a run, once a column's estimate names the search that
+produced it, the rest of the run repeats that answer without a lookup:
+sd after one step, tgrand once an estimate is its own most likely
+successor.
 """
 
 from __future__ import annotations
@@ -163,14 +164,10 @@ class SyndromeSystem:
         self.runs = column_runs(s)
         self._searches: dict = {}
 
-    @property
-    def targets(self) -> tuple[int, ...]:
-        """The B column targets of s (bit i = check i)."""
-        return self.s.col_ints()
-
     def search(self, order: CandidateOrder, query_cap: int) -> OrderedSearch:
-        """The one search in `order` under `query_cap`.  It holds the core, never
-        the system, so no reference cycle keeps a used system alive."""
+        """The one search in `order` (keyed by identity) under `query_cap`.  It
+        holds the core, never the system, so no reference cycle keeps a used
+        system alive."""
         search = self._searches.get((order, query_cap))
         if search is None:
             if query_cap < 1:

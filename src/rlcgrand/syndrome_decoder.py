@@ -9,8 +9,8 @@ reproducible; a query cap bounds the search per column.
 
 This is `tgrand.weight_order`: `LikelihoodOrder` at the all-zero prior
 with the weight class table ((0, 0), (1, 0), ..., (L, 0)), one search
-for every column, which tgrand shares wherever its order equals this
-one (`search.py`).
+for every column, which tgrand shares wherever `likelihood_order`
+returns this same order (`search.py`).
 Its classes are the weights, so when the search ranks a coset, the order
 picks the lightest members and ranks only those lexicographically.  The
 estimate and the query count equal those of walking the weight order to

@@ -29,13 +29,13 @@ where flips0 and flips1 are the flipped zero and one positions, so
 only in the earliest class.  The estimate and the reported query count
 equal those of walking the order to the first hit, or to the query cap.
 
-An order is a prior plus its class table, equal to any order with the
-same (prior, L, table).  `likelihood_order` takes the table of the
-channel's (p01, p10); syndrome decoding takes the all-zero prior with the
-weight table ((0, 0), (1, 0), ..., (L, 0)) (`weight_order`), and shares a
-system's search with tgrand wherever the two tables agree; there
-`likelihood_order` returns `weight_order` itself.  Every system asks for
-that order, so it alone keeps its leading masks in a bounded memo.
+An order is a prior plus its class table.  `likelihood_order` takes the
+table of the channel's (p01, p10); syndrome decoding takes the all-zero
+prior with the weight table ((0, 0), (1, 0), ..., (L, 0)) (`weight_order`).
+Wherever the two tables agree, `likelihood_order` returns `weight_order`
+itself, so a system shares that one order's search between the decoders.
+Every system asks for that order, so it alone keeps its leading masks, at
+most `MEMO_MASKS` of them, in a fixed prefix.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import accumulate, chain, combinations, takewhile
 from typing import Iterator, Sequence
 
 from .channel import ChannelParams
@@ -181,7 +181,7 @@ def tg_solve_column(
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
     system = SyndromeSystem(ht=ht, s=BitMatrix.trusted(len(s), 1, tuple(b & 1 for b in s)))
     order = likelihood_order(bits_to_mask(prior.prev), ht.cols, params.p01, params.p10)
-    mask, _ = system.search(order, query_cap).find(system.targets[0])
+    mask, _ = system.search(order, query_cap).find(system.runs[0][2])
     return None if mask is None else mask_to_bits(mask, ht.cols)
 
 
@@ -201,7 +201,7 @@ def tg_repair(
     return repair_columns(system, order_for, query_cap)
 
 
-# The bound of `weight_order(l)`'s memo, per L: at most this many of its
+# The bound of `weight_order(l)`'s prefix, per L: at most this many of its
 # first masks, in whole classes, kept so that every system reuses them
 # instead of generating them again.
 MEMO_MASKS = 1 << 10
@@ -216,16 +216,12 @@ class LikelihoodOrder:
     the classes before it) plus its rank inside the class, where the
     zero-side flips are the major and the one-side flips the minor index.
 
-    The weight order (prior 0, classes `_weight_classes(l)`) is asked for
-    by every system, so its `masks` serves its leading classes from one
-    list shared by all its iterators, grown a whole class at a time while
-    it holds at most `MEMO_MASKS` masks; past that it generates as usual.
-    No other order memoises.
+    `masks` yields a fixed prefix, the masks of the first `_kept` classes,
+    then generates the rest.  Only `weight_order` fills the prefix; every
+    other order has none.  Orders compare by identity.
     """
 
     def __init__(self, prior_mask: int, l: int, classes: tuple[tuple[int, int], ...]):
-        self._key = (prior_mask, l, classes)
-        self._hash = hash(self._key)
         self._prior = prior_mask
         self._zeros = ~prior_mask & ((1 << l) - 1)
         self._classes = classes
@@ -233,21 +229,11 @@ class LikelihoodOrder:
         self._one_bits = [1 << j for j in range(l) if prior_mask >> j & 1]
         self._stride = len(self._one_bits) + 1
         self._offsets = _class_offsets(classes, len(self._zero_bits), len(self._one_bits))
-        # The masks of the first `_memo_classes` classes, for the weight order.
-        weight = not prior_mask and classes == _weight_classes(l)
-        self._memo: list[int] | None = [] if weight else None
-        self._memo_classes = 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LikelihoodOrder) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._prefix: tuple[int, ...] = ()
+        self._kept = 0
 
     def masks(self) -> Iterator[int]:
-        if self._memo is None:
-            return self._walk(self._classes)
-        return self._memo_walk()
+        return chain(self._prefix, self._walk(self._classes[self._kept :]))
 
     def _walk(self, classes: Sequence[tuple[int, int]]) -> Iterator[int]:
         prior, zero_bits, one_bits = self._prior, self._zero_bits, self._one_bits
@@ -256,25 +242,6 @@ class LikelihoodOrder:
             for f0 in map(sum, combinations(zero_bits, l0)):
                 for base in bases:
                     yield f0 ^ base
-
-    def _memo_walk(self) -> Iterator[int]:
-        memo, classes = self._memo, self._classes
-        yield from memo
-        n = len(memo)
-        while True:
-            while n < len(memo):  # classes another iterator added meanwhile
-                yield memo[n]
-                n += 1
-            c = self._memo_classes
-            if c == len(classes):
-                return
-            l0, l1 = classes[c]
-            size = math.comb(len(self._zero_bits), l0) * math.comb(len(self._one_bits), l1)
-            if n + size > MEMO_MASKS:
-                yield from self._walk(classes[c:])
-                return
-            memo += self._walk(classes[c : c + 1])
-            self._memo_classes = c + 1
 
     def first(self, masks: Sequence[int]) -> tuple[int, int]:
         zeros, prior, stride, offsets = self._zeros, self._prior, self._stride, self._offsets
@@ -300,7 +267,7 @@ class LikelihoodOrder:
 @lru_cache(maxsize=1024)
 def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> LikelihoodOrder:
     """The channel's `LikelihoodOrder` for (prior, L); priors recur across systems.
-    Where it equals the weight order, it is `weight_order(l)` and its memo."""
+    Where its classes are the weight table, it is `weight_order(l)` itself."""
     ones = prior_mask.bit_count()
     classes = _class_table(p01, p10, l - ones, ones)
     if not prior_mask and classes == _weight_classes(l):
@@ -311,9 +278,13 @@ def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> Likelih
 @lru_cache(maxsize=None)
 def weight_order(l: int) -> LikelihoodOrder:
     """Syndrome decoding's candidate order over L unknowns: weight 0, 1, 2,
-    ...; supports in lexicographic order within a weight.  It memoises its
-    leading classes (`MEMO_MASKS`)."""
-    return LikelihoodOrder(0, l, _weight_classes(l))
+    ...; supports in lexicographic order within a weight.  Its prefix holds
+    the leading whole weights that fit in `MEMO_MASKS` masks."""
+    order = LikelihoodOrder(0, l, _weight_classes(l))
+    sizes = accumulate(math.comb(l, w) for w in range(l + 1))
+    order._kept = sum(1 for _ in takewhile(lambda n: n <= MEMO_MASKS, sizes))
+    order._prefix = tuple(order._walk(order._classes[: order._kept]))
+    return order
 
 
 def _weight_classes(l: int) -> tuple[tuple[int, int], ...]:

@@ -333,7 +333,7 @@ class TestCapAtDriverSizes:
 
             tg_capped = column_hits(tgrand.tg_repair(system, params, cap))
             prior = 0
-            for (mask, q), target in zip(tg_capped, system.targets):
+            for (mask, q), target in zip(tg_capped, system.s.col_ints()):
                 order = tgrand.likelihood_order(prior, unknowns, params.p01, params.p10)
                 hit = system.search(order, DEFAULT_QUERY_CAP).find(target)
                 assert (mask, q) == truncated(hit, cap, unknowns)
@@ -376,7 +376,7 @@ class TestRunWalk:
         # in a run.
         ht, s = system_rows
         system = sd.SyndromeSystem(ht=ht, s=s)
-        targets = system.targets
+        targets = system.s.col_ints()
         starts = [j for j in range(s.cols) if j == 0 or targets[j] != targets[j - 1]]
         ends = starts[1:] + [s.cols]
         assert system.runs == tuple(zip(starts, ends, (targets[j] for j in starts)))

@@ -1,3 +1,4 @@
+import math
 from itertools import islice
 
 import pytest
@@ -136,13 +137,17 @@ class TestWeightOrder:
         # at p01 = 0 (eps = 0) and p01 = 1/2.  Past 1/2 it runs heaviest
         # first, so sd cannot use the channel's params.  A system shares
         # sd's search with the channel's all-zero-prior one exactly then,
-        # by value: a separately built equal order finds the same search.
+        # by identity: a separately built equal order gets its own search,
+        # with the same hits.
         weights = tuple((w, 0) for w in range(l + 1))
         sd_masks = list(sd.weight_order(l).masks())
         system = sd.SyndromeSystem(ht=random_bit_matrix(l, 3, l), s=BitMatrix.zeros(3, 2))
         cap = sd.DEFAULT_QUERY_CAP
         sd_search = system.search(sd.weight_order(l), cap)
-        assert system.search(tgrand.LikelihoodOrder(0, l, weights), cap) is sd_search
+        own_search = system.search(tgrand.LikelihoodOrder(0, l, weights), cap)
+        assert own_search is not sd_search
+        for target in range(1 << 3):
+            assert own_search.find(target) == sd_search.find(target)
         assert system.search(sd.weight_order(l), cap + 1) is not sd_search
         for p01 in (0.0, 0.1, 0.5, 0.6, 0.9, 1.0):
             for p10 in (0.3, 1.0):
@@ -161,19 +166,13 @@ class TestWeightOrder:
                     assert tg_search is not sd_search
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 13), st.lists(st.integers(1, 600), min_size=1, max_size=40),
-           st.booleans())
-    def test_memo_serves_interleaved_iterators_past_its_bound(self, l, steps, fresh):
+    @given(st.integers(0, 13), st.lists(st.integers(1, 600), min_size=1, max_size=40))
+    def test_prefix_serves_interleaved_iterators_past_its_bound(self, l, steps):
         # Two masks() iterators of the weight order, advanced in turn by
         # the drawn step counts, then drained, each yield the oracle's
-        # weight order: from the shared memo, from classes the other one
-        # added, and past the memo's bound (2^13 masks at L = 13, against
-        # MEMO_MASKS = 1024).  A fresh order with the weight order's key
-        # memoises from an empty memo; the cached one from whatever earlier
-        # tests left in it.
-        weights = tuple((w, 0) for w in range(l + 1))
-        order = tgrand.LikelihoodOrder(0, l, weights) if fresh else sd.weight_order(l)
-        assert order._memo is not None
+        # weight order: from the fixed prefix and past it (2^13 masks at
+        # L = 13, against MEMO_MASKS = 1024).
+        order = sd.weight_order(l)
         expected = list(weight_order(l))
         its, got = [order.masks(), order.masks()], [[], []]
         for i, step in enumerate(steps):
@@ -182,10 +181,17 @@ class TestWeightOrder:
             masks += it
         assert got[0] == got[1] == expected
         assert list(order.masks()) == expected
-        assert len(order._memo) <= tgrand.MEMO_MASKS
-        # Other orders, here one with a nonzero prior, keep no memo.
+        # The prefix is the longest run of whole weight classes that fits
+        # in MEMO_MASKS masks.
+        kept, total = 0, 0
+        while kept <= l and total + math.comb(l, kept) <= tgrand.MEMO_MASKS:
+            total += math.comb(l, kept)
+            kept += 1
+        assert order._prefix == tuple(expected[:total])
+        assert order._kept == kept
+        # Other orders, here one with a nonzero prior, have no prefix.
         if l:
-            assert tgrand.likelihood_order(1, l, 0.1, 0.3)._memo is None
+            assert tgrand.likelihood_order(1, l, 0.1, 0.3)._prefix == ()
         assert tgrand.likelihood_order(0, l, 0.1, 0.3) is sd.weight_order(l)
 
 
