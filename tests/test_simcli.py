@@ -312,8 +312,9 @@ class TestRunExperiment:
 
 
 # (eps, burst length) pairs whose p01 = eps/(Λ(1-eps)) spans [0, 1]: 0
-# (the clean channel), then from 0.005 up to exactly 1, with many above 1/2, where sd's weight order is
-# not the channel's all-zero-prior order and the two keep separate searches.
+# (the clean channel), then from 0.005 up to exactly 1, with many above
+# 1/2, where sd's weight order is not the channel's all-zero-prior order
+# and the two keep separate searches.
 EPS_BURST = [
     (eps, burst_len)
     for eps in (0.0, 0.02, 0.1, 0.3, 0.4, 0.5, 0.6, 0.75)
