@@ -29,13 +29,12 @@ the order had been walked to the cap.
 
 One loop (`repair_columns`) solves the B columns of a system left to
 right, a run of equal targets at a time.  A decoder supplies only the
-order for each column's prior (the previous column's estimate), and the
+search for each column's prior (the previous column's estimate); the
 system keeps one search per (order, cap), by the order's identity, so
 every column and decoder that names the same order object shares its
 scan.  Inside a run, once a column's estimate names the search that
-produced it, the rest of the run repeats that answer without a lookup:
-sd after one step, tgrand once an estimate is its own most likely
-successor.
+produced it, the rest of the run repeats that answer: sd after one
+step, tgrand once an estimate is its own most likely successor.
 """
 
 from __future__ import annotations
@@ -170,8 +169,6 @@ class SyndromeSystem:
         system alive."""
         search = self._searches.get((order, query_cap))
         if search is None:
-            if query_cap < 1:
-                raise ValueError(f"query cap must be at least 1, got {query_cap}")
             search = self._searches[order, query_cap] = OrderedSearch(self.core, order, query_cap)
         return search
 
@@ -181,10 +178,13 @@ class OrderedSearch:
 
     Work bound: the scan tests at most min(2^d, query_cap) candidates in
     all, shared by every target; a target the scan misses hands its 2^d
-    coset members to the order's `first`.
+    coset members to the order's `first`.  A cap below 1 is rejected: a
+    search that may make no query has no answer to give.
     """
 
     def __init__(self, core: SearchCore, order: CandidateOrder, query_cap: int):
+        if query_cap < 1:
+            raise ValueError(f"query cap must be at least 1, got {query_cap}")
         self._core = core
         self._order = order
         self._masks = order.masks()
@@ -241,43 +241,39 @@ class RepairResult:
 
 
 def repair_columns(
-    system: SyndromeSystem, order_for: Callable[[int], CandidateOrder], query_cap: int
+    system: SyndromeSystem, search_for: Callable[[int], OrderedSearch]
 ) -> RepairResult:
-    """Solve the columns left to right; ``order_for(prior)`` gives the order
-    for a column whose predecessor was estimated as ``prior``.
+    """Solve the columns left to right; ``search_for(prior)``, asked once per
+    prior, gives the search for a column whose predecessor was estimated
+    as ``prior``.
 
     The prior of the first column is 0.  An unresolved column is left
-    all-zero, so the next column's prior is 0 again.  The columns of one
-    run share a target, and `OrderedSearch.find` depends only on (search,
-    target): once the search the next column would use is the one that
-    just answered, every remaining column of the run gets the same
-    (estimate, queries), written with one run mask per estimate bit.
+    all-zero, so the next column's prior is 0 again.  A run starts with
+    the search for its prior; after each answer, if the run has columns
+    left, the walk looks up the search for the new prior.  `find` depends
+    only on (search, target), so when that is the search that just
+    answered, every remaining column of the run gets the same (estimate,
+    queries), written with one run mask per estimate bit.
     """
     searches: dict[int, OrderedSearch] = {}
 
     def new_search(prior: int) -> OrderedSearch:
-        search = searches[prior] = system.search(order_for(prior), query_cap)
+        search = searches[prior] = search_for(prior)
         return search
 
     rows = [0] * system.core.num_unknowns
     queries: list[int] = []
     unresolved: list[int] = []
-    prior, search = 0, None  # search: the one for `prior`, once looked up
+    prior = 0
     for b, end, target in system.runs:
-        if search is None:
-            search = searches.get(prior) or new_search(prior)
+        search = searches.get(prior) or new_search(prior)
         while True:
             mask, q = search.find(target)
-            hit = mask or 0
-            if hit == prior:
-                stop = end
-            elif b + 1 < end:
-                prior = hit
-                nxt = searches.get(hit) or new_search(hit)
-                stop = end if nxt is search else b + 1
-                search = nxt
-            else:
-                prior, search, stop = hit, None, end
+            prior, stop = mask or 0, b + 1
+            if stop < end:
+                last, search = search, searches.get(prior) or new_search(prior)
+                if search is last:
+                    stop = end
             # Columns b..stop-1 get (mask, q).
             queries += [q] * (stop - b)
             if mask is None:

@@ -334,9 +334,8 @@ def config_from_args(argv=None) -> SimConfig:
         # Every flag except --help and --config may be set in the file.  The
         # values become string defaults, which argparse converts with the
         # flag's own type, exactly as if they had been given as flags.
-        keys = {a.dest for a in parser._actions if a.default is not argparse.SUPPRESS}
         file_values = _read_config_file(args.config)
-        unknown = set(file_values) - keys - {"config"}
+        unknown = file_values.keys() - (vars(args).keys() - {"config"})
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         parser.set_defaults(**file_values)

@@ -37,7 +37,7 @@ def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> Rep
 
     Columns whose search exceeds the cap are left all-zero and reported
     in `unresolved`.  The weight order ignores the previous column, so
-    one search serves every target.
+    its one search serves every prior and every target.
     """
-    order = weight_order(system.core.num_unknowns)
-    return repair_columns(system, lambda prior: order, query_cap)
+    search = system.search(weight_order(system.core.num_unknowns), query_cap)
+    return repair_columns(system, lambda prior: search)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, takewhile
 from typing import Iterator, Sequence
 
@@ -193,12 +193,14 @@ def tg_repair(
     """Estimate all B error columns, chaining each estimate into the next prior.
 
     A capped-out column is left all-zero and the next column restarts
-    from the all-zero prior.  Columns with the same prior share one
-    search, so a repeated (prior, target) pair is answered from memory.
+    from the all-zero prior.  Each prior's search is the system's search
+    in its likelihood order, so columns with the same prior share one
+    search and a repeated (prior, target) pair is answered from memory.
     """
-    l = system.core.num_unknowns
-    order_for = partial(likelihood_order, l=l, p01=params.p01, p10=params.p10)
-    return repair_columns(system, order_for, query_cap)
+    l, p01, p10 = system.core.num_unknowns, params.p01, params.p10
+    return repair_columns(
+        system, lambda prior: system.search(likelihood_order(prior, l, p01, p10), query_cap)
+    )
 
 
 # The bound of `weight_order(l)`'s prefix, per L: at most this many of its

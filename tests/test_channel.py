@@ -35,14 +35,18 @@ class TestParams:
         assert 1.0 / p.p10 == pytest.approx(lam, abs=1e-12 * lam)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
+        # Where a later check would also fail an input, the message tells
+        # which check raised.
+        with pytest.raises(ValueError, match=r"implies p01=9\.\d* > 1"):
             ChannelParams.from_eps_lambda(0.9, 1.0)  # p01 would be 9
         with pytest.raises(ValueError):
             ChannelParams.from_eps_lambda(-0.1, 2.0)
-        with pytest.raises(ValueError):
-            ChannelParams.from_eps_lambda(0.05, 0.5)
+        with pytest.raises(ValueError, match="burst length must be at least 1"):
+            ChannelParams.from_eps_lambda(0.05, 0.5)  # p10 would be 2
         with pytest.raises(ValueError):
             ChannelParams(p01=0.1, p10=0.0)  # infinite bursts
+        with pytest.raises(ValueError, match=r"p01 must be in \[0, 1\]"):
+            ChannelParams(p01=-0.1, p10=0.5)
 
 
 class TestApply:

@@ -42,8 +42,24 @@ class TestConstruction:
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
             BitMatrix(1, 2, [4])
-        with pytest.raises(ValueError):
-            BitMatrix.from_rows([[1, 2]])
+        with pytest.raises(ValueError, match="non-binary entry 2"):
+            BitMatrix.from_rows([[1, 2]])  # 0b101 would also overflow 2 columns
+
+    def test_malformed_input_is_rejected(self):
+        with pytest.raises(ValueError, match="dimensions must be non-negative"):
+            BitMatrix(-1, 2, [])
+        with pytest.raises(ValueError, match="dimensions must be non-negative"):
+            BitMatrix(0, -1, [])
+        with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+            BitMatrix(2, 3, [1])
+        with pytest.raises(ValueError, match="ragged rows"):
+            BitMatrix.from_rows([[1, 0], [1]])
+        with pytest.raises(ValueError, match="cols does not match row length"):
+            BitMatrix.from_rows([[1, 0]], cols=3)
+        with pytest.raises(ValueError, match="cols required for an empty row list"):
+            BitMatrix.from_rows([])
+        with pytest.raises(ValueError, match="column mismatch in vstack"):
+            BitMatrix.zeros(1, 2).vstack(BitMatrix.zeros(1, 3))
 
     def test_empty_shapes_are_legal(self):
         assert BitMatrix.zeros(0, 3).rows == 0
@@ -203,6 +219,10 @@ class TestSolveUnique:
 
 
 class TestRankSolve:
+    def test_right_side_row_count_must_match(self):
+        with pytest.raises(ValueError, match="right-hand side row count does not match"):
+            gf2.rank_solve(BitMatrix.identity(2), BitMatrix.zeros(3, 1))
+
     @settings(max_examples=300)
     @given(
         a=bitmatrix(8, 5, min_cols=1),

@@ -38,6 +38,10 @@ class TestClassify:
         batch = pipeline.classify(x, x)
         assert batch.r == (0, 1, 2, 3) and batch.rbar == ()
 
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="same shape"):
+            pipeline.classify(BitMatrix.zeros(2, 3), BitMatrix.zeros(2, 4))
+
     def test_single_corrupted_row(self):
         x = random_bit_matrix(2, 4, 6)
         e = BitMatrix.from_rows([[0] * 6, [0] * 6, [0] * 6, [0, 0, 1, 0, 0, 0]])

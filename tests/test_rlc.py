@@ -47,6 +47,11 @@ class TestMakeGenerator:
         with pytest.raises(ValueError):
             rlc.make_generator(4, 3, 1)
 
+    def test_matrix_shape_must_match(self):
+        # The top block is I_2, so only the shape check can fail.
+        with pytest.raises(ValueError, match="shape does not match"):
+            rlc.Generator(k=2, n=3, matrix=BitMatrix.identity(2))
+
     @pytest.mark.parametrize(
         "rows",
         [

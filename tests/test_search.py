@@ -202,6 +202,37 @@ class TestSystemSearch:
             tgrand.tg_repair(system, params, cap)
         with pytest.raises(ValueError, match="query cap must be at least 1"):
             tgrand.tg_solve_column(ht, (1, 0), prior, params, cap)
+        with pytest.raises(ValueError, match="query cap must be at least 1"):
+            OrderedSearch(system.core, tgrand.weight_order(3), cap)
+
+    def test_syndrome_rows_must_match_the_checks(self):
+        with pytest.raises(ValueError, match="syndrome row count must match"):
+            sd.SyndromeSystem(ht=BitMatrix.zeros(2, 3), s=BitMatrix.zeros(3, 4))
+
+    def test_one_search_lookup_per_prior(self, monkeypatch):
+        # ht = I_3, so each column's estimate is its target, whatever the
+        # order: the estimates 1, 1, 2, 2, 4, 3, 0, 5 take six values.
+        # sd looks up its one search once; tgrand looks up one search per
+        # prior the walk meets, 0 and every estimate but the last column's.
+        targets = (1, 1, 2, 2, 4, 3, 0, 5)
+        s = BitMatrix.trusted(len(targets), 3, targets).transpose()
+        calls = []
+        search = sd.SyndromeSystem.search
+
+        def counting(system, order, query_cap):
+            calls.append(order)
+            return search(system, order, query_cap)
+
+        monkeypatch.setattr(sd.SyndromeSystem, "search", counting)
+        res = sd.sd_repair(sd.SyndromeSystem(ht=BitMatrix.identity(3), s=s))
+        assert res.e_hat.col_ints() == targets
+        assert len(calls) == 1
+        calls.clear()
+        res = tgrand.tg_repair(
+            sd.SyndromeSystem(ht=BitMatrix.identity(3), s=s), ChannelParams(p01=0.1, p10=0.3)
+        )
+        assert res.e_hat.col_ints() == targets
+        assert len(calls) == len({0, *targets[:-1]}) == 5
 
     @pytest.mark.parametrize("hseed", range(4))
     @pytest.mark.parametrize("query_cap", [3, 1 << 20])

@@ -79,6 +79,7 @@ class TestConfig:
             dict(eps=0.9, burst_len=1.0),  # each valid alone, but p01 = 9
             dict(n_list=(6, 6)),
             dict(decoders=("sd", "sd")),
+            dict(b=0),
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -532,10 +533,26 @@ class TestCli:
         assert "error: interrupted" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_malformed_input_names_its_fault(self, tmp_path):
+        # An empty N range would also fail SimConfig; the message tells
+        # that the flag check raised.
+        with pytest.raises(ValueError, match="n-max must be at least n-min"):
+            simcli.config_from_args(["--n-min", "8", "--n-max", "5"])
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text("k 3\n")
+        with pytest.raises(ValueError, match="bad config line: 'k 3'"):
+            simcli.config_from_args(["--config", str(cfg_file)])
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "sim.cfg"
         cfg_file.write_text("frobnicate = 1\n")
         assert simcli.main(["--config", str(cfg_file)]) == 2
+        # --config names the file; the file cannot name another one.
+        other = tmp_path / "other.cfg"
+        other.write_text("k = 3\n")
+        cfg_file.write_text(f"config = {other}\n")
+        with pytest.raises(ValueError, match=r"unknown config keys: \['config'\]"):
+            simcli.config_from_args(["--config", str(cfg_file)])
         # A known key with a bad value fails as the same flag would.
         cfg_file.write_text("k = ten\n")
         with pytest.raises(SystemExit) as exc:

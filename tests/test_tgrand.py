@@ -186,6 +186,12 @@ class TestSolveColumn:
         params = ChannelParams(p01=0.1, p10=0.4)
         assert tgrand.tg_solve_column(ht, [1, 1], prior, params) == (1, 0)
 
+    def test_prior_length_must_match_the_unknowns(self):
+        ht = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        prior = ColumnPrior.from_bits((0, 1))
+        with pytest.raises(ValueError, match="prior length 2 does not match 3 unknowns"):
+            tgrand.tg_solve_column(ht, [1, 0], prior, ChannelParams(p01=0.1, p10=0.5))
+
     def test_cap_exceeded(self):
         ht = BitMatrix.from_rows([[1, 0], [0, 1]])
         prior = ColumnPrior.from_bits((0,) * 2)
