@@ -29,12 +29,11 @@ the order had been walked to the cap.
 
 One loop (`repair_columns`) solves the B columns of a system left to
 right, a run of equal targets at a time.  A decoder supplies only the
-search for each column's prior (the previous column's estimate); the
-system keeps one search per (order, cap), by the order's identity, so
-every column and decoder that names the same order object shares its
-scan.  Inside a run, once a column's estimate names the search that
-produced it, the rest of the run repeats that answer: sd after one
-step, tgrand once an estimate is its own most likely successor.
+search for each column's prior (the previous column's estimate), and
+which searches are shared is the rule of `SyndromeSystem.search`.  Inside
+a run, once a column's estimate names the search that produced it, the
+rest of the run repeats that answer: sd after one step, tgrand once an
+estimate is its own most likely successor.
 """
 
 from __future__ import annotations
@@ -164,9 +163,13 @@ class SyndromeSystem:
         self._searches: dict = {}
 
     def search(self, order: CandidateOrder, query_cap: int) -> OrderedSearch:
-        """The one search in `order` (keyed by identity) under `query_cap`.  It
-        holds the core, never the system, so no reference cycle keeps a used
-        system alive."""
+        """The one search per (order, cap), keyed by the order's identity, so
+        every column and decoder that names the same order object shares
+        its scan and memo.  sd's order, `tgrand.weight_order`, is the object
+        that `tgrand.likelihood_order` returns at the all-zero prior wherever
+        the channel's class table there is the weight table (p01 <= 1/2), so
+        sd and tgrand share that search.  It holds the core, never the
+        system, so no reference cycle keeps a used system alive."""
         search = self._searches.get((order, query_cap))
         if search is None:
             search = self._searches[order, query_cap] = OrderedSearch(self.core, order, query_cap)

@@ -11,19 +11,20 @@ count or scheduling.
 Each trial runs the plain RLC attempt once.  That outcome is the rlc
 decoder's, and it is what the sd and tgrand repairs return whenever no
 repair is needed (the attempt succeeded, N == K, or no row is
-corrupted).  Otherwise the trial builds one syndrome system (S = Hᵀ·Y and
-H_R̄ᵀ, read from the systematic generator without building H, eliminated
-once), and both repairs run on it.  A decoder's
-``wall_seconds`` is the time spent on its outcome: the shared attempt is
-timed once and charged in full to every decoder, the syndrome system's
-build is timed once and charged in full to each repairing decoder, and
-each repairing decoder adds its own repair and re-decode.  The attempt's
-share includes reducing the clean rows once; each re-decode extends a
-copy of that reduction with only its own promoted rows, and that work is
-in its decoder's share.  Trial generation (data, generator, channel) is
-charged to none.  At p01 <= 1/2 sd's order is tgrand's at the all-zero
-prior, and the system's one search in it is charged only to the decoder
-run first, so the sd and tgrand columns are not standalone costs.
+corrupted).  Otherwise, if sd or tgrand is requested, the trial builds
+one syndrome system (S = Hᵀ·Y and H_R̄ᵀ, read from the systematic
+generator without building H, eliminated once), and the requested
+repairs run on it.  A decoder's ``wall_seconds`` is the time spent on
+its outcome: the shared attempt is timed once and charged in full to
+every decoder, the syndrome system's build is timed once and charged in
+full to each repairing decoder, and each repairing decoder adds its own
+repair and re-decode.  The attempt's share includes reducing the clean
+rows once; each re-decode extends a copy of that reduction with only its
+own promoted rows, and that work is in its decoder's share.  Trial
+generation (data, generator, channel) is charged to none.  A search that
+sd and tgrand share (`SyndromeSystem.search`) is charged only to the
+decoder run first, so the sd and tgrand columns are not standalone
+costs.
 
 Trials run in chunks of _CHUNK per N, serially or on a process pool.  A
 chunk generates its trials in passes of at most _BATCH_BITS channel bits
@@ -161,13 +162,14 @@ def _trials(config: SimConfig, n: int, start: int, stop: int):
 def _trial_outcomes(config: SimConfig, gen, batch, decoders: tuple[str, ...]):
     """Run ``decoders`` on one trial: a list of (decoder, outcome, seconds).
 
-    The plain attempt and, when a repair pass will run, the syndrome
+    The plain attempt and, when a requested repair will run, the syndrome
     system are built once and shared, as the module docstring describes.
     """
     t0 = time.perf_counter()
     base = attempt_rlc(batch, gen)
     base_seconds = time.perf_counter() - t0
-    system = syndrome_system(batch, gen) if needs_repair(batch, gen, base) else None
+    repairs = ("sd" in decoders or "tgrand" in decoders) and needs_repair(batch, gen, base)
+    system = syndrome_system(batch, gen) if repairs else None
     shared_seconds = time.perf_counter() - t0
     results = []
     for d in decoders:
@@ -300,30 +302,30 @@ def _read_config_file(path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI; every flag but --config and --out takes its default, and
+    its type, from `SimConfig`."""
+    default = SimConfig()
     p = argparse.ArgumentParser(
         prog="rlcgrand-sim",
         description="Decoding-probability simulation for RLC over a burst-error channel.",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     p.add_argument("--config", help="key=value config file; explicit flags override it")
-    p.add_argument("--k", type=int, default=10, help="source packets (default 10)")
-    p.add_argument("--n-min", type=int, default=10, help="smallest N (default 10)")
-    p.add_argument("--n-max", type=int, default=20, help="largest N (default 20)")
-    p.add_argument("--b", type=int, default=64, help="bits per packet (default 64)")
-    p.add_argument("--eps", type=float, default=0.05, help="bit error probability (default 0.05)")
-    p.add_argument("--burst-len", type=float, default=4.0, help="mean error-burst length (default 4)")
-    p.add_argument(
-        "--decoders",
-        default="rlc,sd,tgrand",
-        help="comma-separated subset of rlc,sd,tgrand (default all)",
-    )
-    p.add_argument("--trials", type=int, default=10000, help="trials per (decoder, N) (default 10000)")
-    p.add_argument("--seed", type=int, default=1, help="master seed (default 1)")
-    p.add_argument(
-        "--query-cap", type=int, default=DEFAULT_QUERY_CAP,
-        help="max candidates per column before a repair gives up (default 2^20)",
-    )
-    p.add_argument("--out", default="results.csv", help="output CSV path (default results.csv)")
-    p.add_argument("--workers", type=int, default=1, help="process-pool size (default 1)")
+    for flag, value, text in (
+        ("--k", default.k, "source packets"),
+        ("--n-min", min(default.n_list), "smallest N"),
+        ("--n-max", max(default.n_list), "largest N"),
+        ("--b", default.b, "bits per packet"),
+        ("--eps", default.eps, "bit error probability"),
+        ("--burst-len", default.burst_len, "mean error-burst length"),
+        ("--decoders", ",".join(default.decoders), "comma-separated subset of rlc,sd,tgrand"),
+        ("--trials", default.trials, "trials per (decoder, N)"),
+        ("--seed", default.master_seed, "master seed"),
+        ("--query-cap", default.query_cap, "max candidates per column before a repair gives up"),
+        ("--out", "results.csv", "output CSV path"),
+        ("--workers", default.workers, "process-pool size"),
+    ):
+        p.add_argument(flag, type=type(value), default=value, help=text)
     return p
 
 

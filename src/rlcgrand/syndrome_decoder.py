@@ -7,14 +7,10 @@ consistent with that syndrome.  Candidates are queried in weight order
 (0, 1, 2, ...), lexicographic by support within a weight, so runs are
 reproducible; a query cap bounds the search per column.
 
-This is `tgrand.weight_order`: `LikelihoodOrder` at the all-zero prior
-with the weight class table ((0, 0), (1, 0), ..., (L, 0)), one search
-for every column, which tgrand shares wherever `likelihood_order`
-returns this same order (`search.py`).
-Its classes are the weights, so when the search ranks a coset, the order
-picks the lightest members and ranks only those lexicographically.  The
-estimate and the query count equal those of walking the weight order to
-the first hit, or to the cap.
+This is `tgrand.weight_order`, one search for every column; when tgrand
+shares it is the rule of `SyndromeSystem.search`.  The estimate and the
+query count equal those of walking the weight order to the first hit, or
+to the cap.
 """
 
 from __future__ import annotations

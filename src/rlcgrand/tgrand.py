@@ -14,12 +14,10 @@ repair.  Columns are solved left to right, each estimate seeding the
 next column's prior; the prior for the first column is all-zero because
 the chains start in the good state.
 
-The first hit is found with the shared search core (`search.py`) rather
-than by testing every candidate in turn.  The solutions of one column
-form a coset of dimension d = L - rank(ht).  The core tests at most 2^d
-candidates in likelihood order; if none hits, it asks the order for the
-coset member it queries first (`LikelihoodOrder.first`).  A candidate's
-position is
+The first hit is found with the shared search core (`search.py`), which
+asks the order for the coset member it queries first
+(`LikelihoodOrder.first`) when its scan misses.  A candidate's position
+is
 
     offset of class (l0, l1) in sorted_classes
     + lexrank(flips0)·C(L1, l1) + lexrank(flips1) + 1,
@@ -29,13 +27,8 @@ where flips0 and flips1 are the flipped zero and one positions, so
 only in the earliest class.  The estimate and the reported query count
 equal those of walking the order to the first hit, or to the query cap.
 
-An order is a prior plus its class table.  `likelihood_order` takes the
-table of the channel's (p01, p10); syndrome decoding takes the all-zero
-prior with the weight table ((0, 0), (1, 0), ..., (L, 0)) (`weight_order`).
-Wherever the two tables agree, `likelihood_order` returns `weight_order`
-itself, so a system shares that one order's search between the decoders.
-Every system asks for that order, so it alone keeps its leading masks, at
-most `MEMO_MASKS` of them, in a fixed prefix.
+An order is a prior plus its class table (`LikelihoodOrder`); which
+searches sd and tgrand share is the rule of `SyndromeSystem.search`.
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, takewhile
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .channel import ChannelParams
 from .gf2 import BitMatrix
@@ -103,13 +96,22 @@ def sorted_classes(params: ChannelParams, big_l0: int, big_l1: int) -> list[Tran
             prob=class_probability(params, big_l0, big_l1, l0, l1),
             count=math.comb(big_l0, l0) * math.comb(big_l1, l1),
         )
-        for l0, l1 in _class_table(params.p01, params.p10, big_l0, big_l1)
+        for l0, l1 in _class_table(params.p01, params.p10, big_l0, big_l1).pairs
     ]
 
 
+class ClassTable(NamedTuple):
+    """An order's class table, described at `LikelihoodOrder`."""
+
+    pairs: tuple[tuple[int, int], ...]
+    offsets: tuple[int, ...]
+    kept: int
+
+
 @lru_cache(maxsize=4096)
-def _class_table(p01: float, p10: float, big_l0: int, big_l1: int) -> tuple[tuple[int, int], ...]:
-    """The (l0, l1) pairs of `sorted_classes`, in the same order."""
+def _class_table(p01: float, p10: float, big_l0: int, big_l1: int) -> ClassTable:
+    """The class table of a channel shape; its pairs are the classes of
+    `sorted_classes`, in the same order."""
     lp01, l1mp01 = _log(p01), _log(1.0 - p01)
     lp10, l1mp10 = _log(p10), _log(1.0 - p10)
     entries = []
@@ -131,11 +133,15 @@ def _class_table(p01: float, p10: float, big_l0: int, big_l1: int) -> tuple[tupl
             groups[-1].append(entry)
         else:
             groups.append([entry])
-    table = []
+    pairs = []
     for group in groups:
         group.sort(key=lambda e: (e[1] + e[2], e[1]))
-        table.extend((l0, l1) for _, l0, l1 in group)
-    return tuple(table)
+        pairs.extend((l0, l1) for _, l0, l1 in group)
+    kept = 0
+    if all(pair == (w, 0) for w, pair in enumerate(pairs)):  # the weight table
+        sizes = accumulate(math.comb(big_l0, w) for w in range(big_l0 + 1))
+        kept = sum(1 for _ in takewhile(lambda n: n <= MEMO_MASKS, sizes))
+    return ClassTable(tuple(pairs), _class_offsets(pairs, big_l0, big_l1), kept)
 
 
 def _log(p: float) -> float:
@@ -194,8 +200,7 @@ def tg_repair(
 
     A capped-out column is left all-zero and the next column restarts
     from the all-zero prior.  Each prior's search is the system's search
-    in its likelihood order, so columns with the same prior share one
-    search and a repeated (prior, target) pair is answered from memory.
+    in its likelihood order (`SyndromeSystem.search`).
     """
     l, p01, p10 = system.core.num_unknowns, params.p01, params.p10
     return repair_columns(
@@ -203,36 +208,38 @@ def tg_repair(
     )
 
 
-# The bound of `weight_order(l)`'s prefix, per L: at most this many of its
+# The bound of the weight order's prefix, per L: at most this many of its
 # first masks, in whole classes, kept so that every system reuses them
 # instead of generating them again.
 MEMO_MASKS = 1 << 10
 
 
 class LikelihoodOrder:
-    """Candidate order for one prior column, given its (l0, l1) class
-    table in query order: every (L0+1)(L1+1) pair once, with L1 the
-    prior's weight and L0 = L - L1.
+    """Candidate order for one prior column, given its class table, the
+    one cached `_class_table(p01, p10, L0, L1)` per channel shape (L1 is
+    the prior's weight and L0 = L - L1):
 
-    A candidate's position is the offset of its class (the candidates of
-    the classes before it) plus its rank inside the class, where the
-    zero-side flips are the major and the one-side flips the minor index.
+    - ``pairs``: every (l0, l1) class once, in query order;
+    - ``offsets``: the candidates queried before class (l0, l1), at index
+      l0·(L1+1) + L1-l1, one popcount on each side of the prior;
+    - ``kept``: the leading classes the order keeps as a fixed prefix of
+      masks.  Only the weight table, whose classes are the weights 0, 1,
+      ..., L (the all-zero prior at p01 <= 1/2), keeps any: every system
+      asks for its order, so it keeps the whole weights within
+      `MEMO_MASKS` masks.
 
-    `masks` yields a fixed prefix, the masks of the first `_kept` classes,
-    then generates the rest.  Only `weight_order` fills the prefix; every
-    other order has none.  Orders compare by identity.
+    `masks` yields the prefix, then generates the rest.  Orders compare by
+    identity.
     """
 
-    def __init__(self, prior_mask: int, l: int, classes: tuple[tuple[int, int], ...]):
+    def __init__(self, prior_mask: int, l: int, table: ClassTable):
         self._prior = prior_mask
         self._zeros = ~prior_mask & ((1 << l) - 1)
-        self._classes = classes
         self._zero_bits = [1 << j for j in range(l) if self._zeros >> j & 1]
         self._one_bits = [1 << j for j in range(l) if prior_mask >> j & 1]
         self._stride = len(self._one_bits) + 1
-        self._offsets = _class_offsets(classes, len(self._zero_bits), len(self._one_bits))
-        self._prefix: tuple[int, ...] = ()
-        self._kept = 0
+        self._classes, self._offsets, self._kept = table
+        self._prefix = tuple(self._walk(self._classes[: self._kept])) if self._kept else ()
 
     def masks(self) -> Iterator[int]:
         return chain(self._prefix, self._walk(self._classes[self._kept :]))
@@ -269,39 +276,30 @@ class LikelihoodOrder:
 @lru_cache(maxsize=1024)
 def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> LikelihoodOrder:
     """The channel's `LikelihoodOrder` for (prior, L); priors recur across systems.
-    Where its classes are the weight table, it is `weight_order(l)` itself."""
+    Where its classes are the weight order's, it is `weight_order(l)` itself."""
     ones = prior_mask.bit_count()
-    classes = _class_table(p01, p10, l - ones, ones)
-    if not prior_mask and classes == _weight_classes(l):
+    table = _class_table(p01, p10, l - ones, ones)
+    if not prior_mask and table.pairs == weight_order(l)._classes:
         return weight_order(l)
-    return LikelihoodOrder(prior_mask, l, classes)
+    return LikelihoodOrder(prior_mask, l, table)
 
 
 @lru_cache(maxsize=None)
 def weight_order(l: int) -> LikelihoodOrder:
     """Syndrome decoding's candidate order over L unknowns: weight 0, 1, 2,
-    ...; supports in lexicographic order within a weight.  Its prefix holds
-    the leading whole weights that fit in `MEMO_MASKS` masks."""
-    order = LikelihoodOrder(0, l, _weight_classes(l))
-    sizes = accumulate(math.comb(l, w) for w in range(l + 1))
-    order._kept = sum(1 for _ in takewhile(lambda n: n <= MEMO_MASKS, sizes))
-    order._prefix = tuple(order._walk(order._classes[: order._kept]))
-    return order
+    ...; supports in lexicographic order within a weight.  At p01 = p10 =
+    1/2 every candidate is equally likely, so every class ties and the tie
+    rule orders them by weight."""
+    return LikelihoodOrder(0, l, _class_table(0.5, 0.5, l, 0))
 
 
-def _weight_classes(l: int) -> tuple[tuple[int, int], ...]:
-    return tuple((w, 0) for w in range(l + 1))
-
-
-@lru_cache(maxsize=4096)
 def _class_offsets(
-    classes: tuple[tuple[int, int], ...], big_l0: int, big_l1: int
+    pairs: Sequence[tuple[int, int]], big_l0: int, big_l1: int
 ) -> tuple[int, ...]:
-    """Candidates queried before class (l0, l1), at index l0·(L1+1) + L1-l1:
-    by flipped zeros and kept ones, one popcount on each side of the prior."""
+    """The offsets of a `ClassTable` whose classes are ``pairs``."""
     offsets = [0] * ((big_l0 + 1) * (big_l1 + 1))
     total = 0
-    for l0, l1 in classes:
+    for l0, l1 in pairs:
         offsets[l0 * (big_l1 + 1) + big_l1 - l1] = total
         total += math.comb(big_l0, l0) * math.comb(big_l1, l1)
     return tuple(offsets)

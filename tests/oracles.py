@@ -6,6 +6,7 @@ principles, independent of the code paths under test.
 
 from __future__ import annotations
 
+import math
 from functools import cmp_to_key
 from itertools import combinations
 from types import SimpleNamespace
@@ -317,3 +318,26 @@ def reference_records(config) -> list:
         if decoder in config.decoders
         for n in sorted(config.n_list)
     ]
+
+
+def rlc_success_probability(k: int, n: int, b: int, p01: float) -> float:
+    """Exact probability that the plain decoder succeeds, from first principles.
+
+    The chain starts good and bit 0 is already a transition, so a row is
+    clean with probability q = (1 - p01)^B, independently of the others.
+    Given s clean systematic rows and m clean parity rows, the parity
+    rows' projections onto the K - s uncovered coordinates are iid
+    uniform, so the clean rows reach rank K with probability
+    prod_{i < K-s} (1 - 2^(i-m)) when m >= K - s, and 0 otherwise.  The
+    sum runs over the binomial laws of s and m.
+    """
+    q = (1.0 - p01) ** b
+
+    def binomial(count: int, i: int) -> float:
+        return math.comb(count, i) * q**i * (1.0 - q) ** (count - i)
+
+    return sum(
+        binomial(k, s) * binomial(n - k, m) * math.prod(1.0 - 2.0 ** (i - m) for i in range(k - s))
+        for s in range(k + 1)
+        for m in range(k - s, n - k + 1)
+    )

@@ -1,9 +1,11 @@
-"""The README's library example runs and prints what it says it prints."""
+"""The README's library example runs and prints what it says it prints,
+and its Layout block names every module of the package."""
 
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_library_example_runs(capsys):
@@ -12,3 +14,10 @@ def test_library_example_runs(capsys):
     expected = [line[4:] for line in block.splitlines() if line.startswith("#   ")]
     assert expected
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_layout_names_every_module():
+    [layout] = re.findall(r"## Layout\n\n```\n(.*?)```", README.read_text(), re.S)
+    rows = re.findall(r"^  (\S+\.py) ", layout, re.M)
+    modules = sorted(p.name for p in (ROOT / "src" / "rlcgrand").glob("*.py"))
+    assert sorted(rows) == modules

@@ -252,6 +252,24 @@ class TestRunExperiment:
         records = run_experiment(cfg)
         assert [r.decoder for r in records] == ["tgrand", "tgrand"]
 
+    def test_rlc_only_builds_no_syndrome_system(self, monkeypatch):
+        # At K=10, N=11, eps=0.05 the plain attempt fails in nearly every
+        # trial, but no requested decoder repairs, so no system is built.
+        cfg = SimConfig(n_list=(11,), decoders=("rlc",), trials=50)
+        full = run_experiment(dataclasses.replace(cfg, decoders=simcli.DECODERS))
+        baseline = [run_trial(cfg, 11, "rlc", t) for t in range(3)]
+
+        def unrequested(batch, gen):
+            raise AssertionError("syndrome system built for an rlc-only run")
+
+        monkeypatch.setattr(simcli, "syndrome_system", unrequested)
+        [rlc] = run_experiment(cfg)
+        assert rlc.successes < rlc.trials
+        assert dataclasses.replace(rlc, wall_seconds=0.0) == dataclasses.replace(
+            full[0], wall_seconds=0.0
+        )
+        assert [run_trial(cfg, 11, "rlc", t) for t in range(3)] == baseline
+
     def test_worker_count_does_not_change_results(self):
         one = run_experiment(small_config(workers=1))
         two = run_experiment(small_config(workers=2))
@@ -492,6 +510,12 @@ class TestCli:
         assert simcli.main(["--workers", "2", "--out", str(out)]) == 2
         assert "error: a worker was killed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_flag_defaults_are_the_config_defaults(self, tmp_path):
+        out = str(tmp_path / "r.csv")
+        assert simcli.config_from_args(["--out", out]) == dataclasses.replace(
+            SimConfig(), out_path=out
+        )
 
     def test_config_file_sets_every_flag(self, tmp_path):
         flags = {

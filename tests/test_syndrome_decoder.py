@@ -137,14 +137,15 @@ class TestWeightOrder:
         # at p01 = 0 (eps = 0) and p01 = 1/2.  Past 1/2 it runs heaviest
         # first, so sd cannot use the channel's params.  A system shares
         # sd's search with the channel's all-zero-prior one exactly then,
-        # by identity: a separately built equal order gets its own search,
-        # with the same hits.
+        # by identity: a separately built order in an equal table gets its
+        # own search, with the same hits.
         weights = tuple((w, 0) for w in range(l + 1))
         sd_masks = list(sd.weight_order(l).masks())
         system = sd.SyndromeSystem(ht=random_bit_matrix(l, 3, l), s=BitMatrix.zeros(3, 2))
         cap = sd.DEFAULT_QUERY_CAP
         sd_search = system.search(sd.weight_order(l), cap)
-        own_search = system.search(tgrand.LikelihoodOrder(0, l, weights), cap)
+        own_order = tgrand.LikelihoodOrder(0, l, tgrand._class_table(0.1, 0.3, l, 0))
+        own_search = system.search(own_order, cap)
         assert own_search is not sd_search
         for target in range(1 << 3):
             assert own_search.find(target) == sd_search.find(target)

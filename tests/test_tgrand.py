@@ -70,6 +70,26 @@ class TestSortedClasses:
         total = sum(c.count * c.prob for c in classes)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("p01", [0.0, 0.1, 0.5, 0.6, 1.0])
+    @pytest.mark.parametrize("p10", [0.1, 0.5, 0.9, 1.0])
+    def test_table_offsets_are_running_counts(self, p01, p10):
+        # The one table per channel shape: its pairs are sorted_classes'
+        # order, and the offset at index l0·(L1+1) + L1-l1 counts the
+        # candidates of the classes before (l0, l1).  Only the weight
+        # table keeps a prefix.
+        params = ChannelParams(p01=p01, p10=p10)
+        for big_l0 in range(5):
+            for big_l1 in range(5):
+                table = tgrand._class_table(p01, p10, big_l0, big_l1)
+                classes = tgrand.sorted_classes(params, big_l0, big_l1)
+                assert table.pairs == tuple((c.l0, c.l1) for c in classes)
+                before = 0
+                for c in classes:
+                    assert table.offsets[c.l0 * (big_l1 + 1) + big_l1 - c.l1] == before
+                    before += c.count
+                weights = tuple((w, 0) for w in range(big_l0 + 1))
+                assert (table.kept > 0) == (table.pairs == weights)
+
 
 class TestEnumeration:
     def test_all_zero_prior_starts_at_zero(self):
