@@ -337,7 +337,9 @@ def rlc_success_probability(k: int, n: int, b: int, p01: float) -> float:
         return math.comb(count, i) * q**i * (1.0 - q) ** (count - i)
 
     return sum(
-        binomial(k, s) * binomial(n - k, m) * math.prod(1.0 - 2.0 ** (i - m) for i in range(k - s))
+        binomial(k, s)
+        * binomial(n - k, m)
+        * math.prod(1.0 - 2.0 ** (i - m) for i in range(k - s))
         for s in range(k + 1)
         for m in range(k - s, n - k + 1)
     )
