@@ -90,6 +90,8 @@ def apply_batch(
 ) -> list[tuple[BitMatrix, BitMatrix]]:
     """``apply(params, x, s)`` for each matrix x of ``xs`` (all of one shape)
     and its seed s in the 1-D uint64 array ``seeds``, in one scan."""
+    if seeds.shape != (len(xs),):
+        raise ValueError(f"expected one seed per matrix, got shape {seeds.shape} for {len(xs)}")
     if not xs:
         return []
     n, b = xs[0].rows, xs[0].cols

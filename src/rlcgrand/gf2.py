@@ -9,15 +9,16 @@ matrices can be shared: `BitMatrix.identity` builds I_n once per n.
 
 `Echelon` is the one elimination in the package.  It takes the rows of
 a system one at a time, so a receiver reduces its clean rows once and
-later adds only the rows a repair promotes; `rank` and `rank_solve` feed
-it a whole matrix, and the repair search (`search.SearchCore`) feeds it
-the nonzero columns of ht, each with its own index bit as right side.
+later adds only the rows a repair promotes; `rank` and `rlc.rlc_decode`
+feed it a whole matrix, and the repair search (`search.SearchCore`)
+feeds it the nonzero columns of ht, each with its own index bit as right
+side.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class InconsistentSystemError(ValueError):
@@ -90,30 +91,6 @@ class BitMatrix(_Slots):
     @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "BitMatrix":
         return cls.trusted(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "BitMatrix":
-        """Build from nested 0/1 lists; `cols` is required when rows is empty."""
-        lists = [list(r) for r in rows]
-        if lists:
-            ncols = len(lists[0])
-            if any(len(r) != ncols for r in lists):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != ncols:
-                raise ValueError("cols does not match row length")
-        else:
-            if cols is None:
-                raise ValueError("cols required for an empty row list")
-            ncols = cols
-        ints = []
-        for r in lists:
-            v = 0
-            for j, bit in enumerate(r):
-                if bit not in (0, 1):
-                    raise ValueError(f"non-binary entry {bit!r}")
-                v |= bit << j
-            ints.append(v)
-        return cls(len(lists), ncols, ints)
 
     def row_bits(self, i: int) -> tuple[int, ...]:
         r = self.row_ints[i]
@@ -284,18 +261,3 @@ def rank(a: BitMatrix) -> int:
         ech.add(r)
     return ech.rank
 
-
-def rank_solve(a: BitMatrix, b: BitMatrix) -> tuple[int, BitMatrix | None]:
-    """(rank of a, the unique X with a·X = b), from one elimination.
-
-    X is None when rank(a) < a.cols, which includes every system with fewer
-    rows than columns.  At full column rank, raises InconsistentSystemError
-    when the redundant rows contradict the pivots, which signals corrupted
-    rows being passed off as clean.
-    """
-    if b.rows != a.rows:
-        raise ValueError("right-hand side row count does not match")
-    ech = Echelon(a.cols, b.cols)
-    for ra, rb in zip(a.row_ints, b.row_ints):
-        ech.add(ra, rb)
-    return ech.rank, ech.solve()

@@ -7,7 +7,8 @@ H = [P | I_{N-K}]ᵀ satisfies Hᵀ·G = 0, which is what lets a receiver
 compute syndromes of corrupted packets without knowing U.  H
 (`parity_check`) and `syndrome_decoder.compute_syndrome` are the
 reference; the driver reads S and H_R̄ᵀ from the systematic form directly
-(`pipeline.syndrome_system`).
+(`pipeline.syndrome_system`).  `rlc_decode` reduces [G_R | Y_R] in one
+`gf2.Echelon`, which gives the rank and U together.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class Generator:
             raise ValueError("generator matrix shape does not match (n, k)")
         if self.matrix.row_ints[: self.k] != BitMatrix.identity(self.k).row_ints:
             raise ValueError("generator matrix top block is not the identity I_K")
-
-    @property
-    def p_block(self) -> BitMatrix:
-        return self.matrix.take_rows(range(self.k, self.n))
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ def encode(gen: Generator, u: BitMatrix) -> BitMatrix:
 def parity_check(gen: Generator) -> ParityCheck:
     """H = [P | I_{N-K}]ᵀ, shape N×(N-K); degenerates to N×0 when N == K."""
     # Row i < K of H is column i of P; the bottom N-K rows are the identity.
-    top = gen.p_block.transpose()
+    top = gen.matrix.take_rows(range(gen.k, gen.n)).transpose()
     bottom = BitMatrix.identity(gen.n - gen.k)
     return ParityCheck(matrix=top.vstack(bottom))
 
@@ -97,4 +94,9 @@ def rlc_decode(g_rows: BitMatrix, y_rows: BitMatrix) -> BitMatrix | None:
     Raises gf2.InconsistentSystemError when the rows do not agree on a
     single U, which means a corrupted row slipped in as clean.
     """
-    return gf2.rank_solve(g_rows, y_rows)[1]
+    if y_rows.rows != g_rows.rows:
+        raise ValueError("right-hand side row count does not match")
+    ech = gf2.Echelon(g_rows.cols, y_rows.cols)
+    for g, y in zip(g_rows.row_ints, y_rows.row_ints):
+        ech.add(g, y)
+    return ech.solve()

@@ -8,9 +8,9 @@ worker counts.  The contract is frozen because golden fixtures depend on it:
   ``mix64((seed + (k + 1) * GAMMA) mod 2**64)``.
 * Random bits are the top bit of each output (``z >> 63``), consumed in
   row-major order when filling matrices.
-* Uniform floats in [0, 1) are ``(z >> 11) * 2**-53``, as
-  ``SplitMix64.next_float`` returns them.  The channel compares the
-  integers ``z >> 11`` with thresholds instead, which is exact.
+* Uniform floats in [0, 1) are ``(z >> 11) * 2**-53``: the top 53 bits
+  of an output, scaled.  The channel compares the integers ``z >> 11``
+  with thresholds instead, which is exact.
 * ``derive_seed`` folds integer labels into a seed one splitmix64
   finalizer step per label.
 
@@ -32,7 +32,6 @@ from .gf2 import BitMatrix
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
-_INV53 = 2.0 ** -53
 
 
 def mix64(z: int) -> int:
@@ -68,12 +67,6 @@ class SplitMix64:
     def next_uint64(self) -> int:
         self.state = (self.state + GAMMA) & MASK64
         return mix64(self.state)
-
-    def next_bit(self) -> int:
-        return self.next_uint64() >> 63
-
-    def next_float(self) -> float:
-        return (self.next_uint64() >> 11) * _INV53
 
 
 _U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
@@ -121,6 +114,8 @@ def random_bit_matrix(seed: int, rows: int, cols: int) -> BitMatrix:
 def random_rows(seeds: np.ndarray, rows: int, cols: int) -> list[tuple[int, ...]]:
     """The row ints of ``random_bit_matrix(s, rows, cols)`` for each seed s
     of a 1-D array, drawn and packed in one pass."""
+    if seeds.ndim != 1:
+        raise ValueError(f"seeds must be a 1-D array, got shape {seeds.shape}")
     packed = pack_rows(bit_block(seeds, rows * cols))
     ints = unpack_rows(packed, len(seeds) * rows, cols)
     return [tuple(ints[i * rows:(i + 1) * rows]) for i in range(len(seeds))]

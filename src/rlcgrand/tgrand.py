@@ -66,7 +66,7 @@ class ColumnPrior:
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "ColumnPrior":
-        return cls(prev=tuple(b & 1 for b in bits))
+        return cls(prev=_binary(bits, "prior"))
 
     @property
     def length(self) -> int:
@@ -185,7 +185,7 @@ def tg_solve_column(
     """First candidate (in likelihood order) with ht·wᵀ = s, or None at the cap."""
     if prior.length != ht.cols:
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
-    system = SyndromeSystem(ht=ht, s=BitMatrix.trusted(len(s), 1, tuple(b & 1 for b in s)))
+    system = SyndromeSystem(ht=ht, s=BitMatrix.trusted(len(s), 1, _binary(s, "syndrome")))
     order = likelihood_order(bits_to_mask(prior.prev), ht.cols, params.p01, params.p10)
     mask, _ = system.search(order, query_cap).find(system.runs[0][2])
     return None if mask is None else mask_to_bits(mask, ht.cols)
@@ -303,6 +303,13 @@ def _class_offsets(
         offsets[l0 * (big_l1 + 1) + big_l1 - l1] = total
         total += math.comb(big_l0, l0) * math.comb(big_l1, l1)
     return tuple(offsets)
+
+
+def _binary(bits: Sequence[int], what: str) -> tuple[int, ...]:
+    """The 0/1 entries of bits as ints; any other entry raises `ValueError`."""
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"{what} entries must be 0 or 1, got {tuple(bits)}")
+    return tuple(int(b) for b in bits)
 
 
 def bits_to_mask(bits: Sequence[int]) -> int:

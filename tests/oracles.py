@@ -1,7 +1,10 @@
 """Brute-force oracles that the implementation is checked against.
 
 Everything here enumerates exhaustively or recomputes from first
-principles, independent of the code paths under test.
+principles, independent of the code paths under test.  `from_rows`
+builds a BitMatrix from 0/1 lists, and `next_bit` and `next_float` read a
+scalar `SplitMix64` stream by the bit and float rules of the `rng`
+contract; the library itself needs none of them.
 """
 
 from __future__ import annotations
@@ -16,9 +19,42 @@ from rlcgrand import gf2
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand import simcli
 from rlcgrand.pipeline import DecodeOutcome, ReceivedBatch
+from rlcgrand.rlc import rlc_decode
 from rlcgrand.rng import SplitMix64, derive_seed
 from rlcgrand.search import RepairResult
 from rlcgrand.tgrand import sorted_classes
+
+
+def from_rows(rows: Iterable[Iterable[int]], cols: int | None = None) -> BitMatrix:
+    """Build from nested 0/1 lists; `cols` is required when rows is empty."""
+    lists = [list(r) for r in rows]
+    if lists:
+        ncols = len(lists[0])
+        if any(len(r) != ncols for r in lists):
+            raise ValueError("ragged rows")
+        if cols is not None and cols != ncols:
+            raise ValueError("cols does not match row length")
+    else:
+        if cols is None:
+            raise ValueError("cols required for an empty row list")
+        ncols = cols
+    ints = []
+    for r in lists:
+        v = 0
+        for j, bit in enumerate(r):
+            if bit not in (0, 1):
+                raise ValueError(f"non-binary entry {bit!r}")
+            v |= bit << j
+        ints.append(v)
+    return BitMatrix(len(lists), ncols, ints)
+
+
+def next_bit(stream: SplitMix64) -> int:
+    return stream.next_uint64() >> 63
+
+
+def next_float(stream: SplitMix64) -> float:
+    return (stream.next_uint64() >> 11) * 2.0**-53
 
 
 def row_span(m: BitMatrix) -> set[int]:
@@ -47,14 +83,14 @@ def redecode_by_stacking(batch, gen, base: DecodeOutcome, result) -> DecodeOutco
     promoted = [batch.rbar[idx] for idx in verified]
     g_new = gen.matrix.take_rows(list(batch.r) + promoted)
     y_new = batch.y.take_rows(batch.r).vstack(x_hat_rbar.take_rows(verified))
-    rank_after, u_hat = gf2.rank_solve(g_new, y_new)
+    u_hat = rlc_decode(g_new, y_new)
     return DecodeOutcome(
         success=u_hat is not None,
         u_hat=u_hat,
         nu=len(promoted),
         queries_total=result.queries_total,
         rank_before=base.rank_before,
-        rank_after=rank_after,
+        rank_after=rank_by_row_space(g_new),
     )
 
 
@@ -214,7 +250,7 @@ def markov_error_rows(p01: float, p10: float, n: int, b: int, seed: int) -> list
         state = 0
         bits = []
         for _ in range(b):
-            u = stream.next_float()
+            u = next_float(stream)
             state = int(u < p01) if state == 0 else int(u >= p10)
             bits.append(state)
         rows.append(bits)
@@ -233,9 +269,9 @@ def trial_rows(k: int, n: int, b: int, p01: float, p10: float, master_seed: int,
     tseed = derive_seed(master_seed, n, t)
     gbits = SplitMix64(derive_seed(tseed, tag_gen))
     g = [[int(i == j) for j in range(k)] for i in range(k)]
-    g += [[gbits.next_bit() for _ in range(k)] for _ in range(n - k)]
+    g += [[next_bit(gbits) for _ in range(k)] for _ in range(n - k)]
     ubits = SplitMix64(derive_seed(tseed, tag_data))
-    u = [[ubits.next_bit() for _ in range(b)] for _ in range(k)]
+    u = [[next_bit(ubits) for _ in range(b)] for _ in range(k)]
     x = [[sum(g[i][j] & u[j][c] for j in range(k)) & 1 for c in range(b)] for i in range(n)]
     e = markov_error_rows(p01, p10, n, b, derive_seed(tseed, tag_noise))
     y = [[xb ^ eb for xb, eb in zip(xr, er)] for xr, er in zip(x, e)]
@@ -258,7 +294,7 @@ def reference_trial(config, n: int, t: int) -> dict:
     tags = (simcli._TAG_GEN, simcli._TAG_DATA, simcli._TAG_NOISE)
     g, x, y, r = trial_rows(k, n, b, p.p01, p.p10, config.master_seed, t, tags)
     rbar = [i for i in range(n) if i not in r]
-    gen = BitMatrix.from_rows(g, k)
+    gen = from_rows(g, k)
     rank = rank_by_row_space(gen.take_rows(r))
     base = DecodeOutcome(
         success=rank == k, u_hat=None, nu=0, queries_total=0, rank_before=rank, rank_after=rank
@@ -269,19 +305,19 @@ def reference_trial(config, n: int, t: int) -> dict:
     # Row i of Hᵀ is (row K+i of G, e_i): it checks parity row K+i against
     # the systematic rows, so Hᵀ·G = 0.
     h_t = [g[k + i] + [int(j == i) for j in range(n - k)] for i in range(n - k)]
-    ht = BitMatrix.from_rows([[row[j] for j in rbar] for row in h_t], len(rbar))
-    s = BitMatrix.from_rows(
+    ht = from_rows([[row[j] for j in rbar] for row in h_t], len(rbar))
+    s = from_rows(
         [[sum(row[j] & y[j][c] for j in range(n)) & 1 for c in range(b)] for row in h_t], b
     )
     batch = ReceivedBatch(
-        y=BitMatrix.from_rows(y, b), truth_x=BitMatrix.from_rows(x, b), r=tuple(r), rbar=tuple(rbar)
+        y=from_rows(y, b), truth_x=from_rows(x, b), r=tuple(r), rbar=tuple(rbar)
     )
     repairs = {
         "sd": sd_repair_by_enumeration(ht, s, config.query_cap),
         "tgrand": tg_repair_by_enumeration(ht, s, p, config.query_cap),
     }
     for decoder, hits in repairs.items():
-        e_hat = BitMatrix.from_rows(
+        e_hat = from_rows(
             [[(mask or 0) >> j & 1 for mask, _ in hits] for j in range(len(rbar))], b
         )
         queries = tuple(q for _, q in hits)

@@ -102,6 +102,15 @@ class TestApply:
         with pytest.raises(ValueError):
             channel.apply_batch(params, [BitMatrix.zeros(2, 8), BitMatrix.zeros(3, 8)], seeds)
 
+    @pytest.mark.parametrize("seeds", [[1, 2], [1, 2, 3, 4], [[1, 2, 3]], [[1], [2], [3]]])
+    def test_batch_takes_one_seed_per_matrix(self, seeds):
+        # A short seeds array once gave the matrices past its end no noise,
+        # and extra seeds were dropped.
+        params = ChannelParams.from_eps_lambda(0.3, 2.0)
+        xs = [BitMatrix.zeros(4, 16)] * 3
+        with pytest.raises(ValueError, match="one seed per matrix"):
+            channel.apply_batch(params, xs, np.array(seeds, dtype=np.uint64))
+
     def test_y_is_x_xor_e(self):
         params = ChannelParams.from_eps_lambda(0.3, 2.0)
         x = random_bit_matrix(11, 5, 20)

@@ -8,7 +8,7 @@ from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import random_bit_matrix
 from rlcgrand.search import RepairResult, SyndromeSystem
 
-from oracles import redecode_by_stacking, row_span, syndrome_of_mask
+from oracles import from_rows, redecode_by_stacking, row_span, syndrome_of_mask
 
 
 def _make_batch(g, u, e):
@@ -24,7 +24,7 @@ def _hand_instance():
     the corrupted rows' parity columns (0,1,1), (0,1,0), (0,0,1) are
     distinct, so single-bit errors at distinct positions all repair.
     """
-    matrix = BitMatrix.from_rows(
+    matrix = from_rows(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1]]
     )
     g = rlc.Generator(k=3, n=6, matrix=matrix)
@@ -44,7 +44,7 @@ class TestClassify:
 
     def test_single_corrupted_row(self):
         x = random_bit_matrix(2, 4, 6)
-        e = BitMatrix.from_rows([[0] * 6, [0] * 6, [0] * 6, [0, 0, 1, 0, 0, 0]])
+        e = from_rows([[0] * 6, [0] * 6, [0] * 6, [0, 0, 1, 0, 0, 0]])
         batch = pipeline.classify(gf2.add(x, e), x)
         assert batch.rbar == (3,)
         assert len(batch.r) == 3

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +6,8 @@ from hypothesis import strategies as st
 from rlcgrand import gf2, rlc
 from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import SplitMix64, random_bit_matrix
+
+from oracles import from_rows, next_bit
 
 
 def gen_strategy(max_k=5, max_extra=5):
@@ -28,8 +31,8 @@ class TestMakeGenerator:
         seed = 31337
         g = rlc.make_generator(2, 4, seed)
         stream = SplitMix64(seed)
-        expected = [stream.next_bit() for _ in range(4)]
-        assert g.p_block.to_rows() == [expected[:2], expected[2:]]
+        expected = [next_bit(stream) for _ in range(4)]
+        assert g.matrix.to_rows()[2:] == [expected[:2], expected[2:]]
 
     @settings(max_examples=100)
     @given(st.integers(1, 17), st.integers(0, 17), st.integers(0, 2**64 - 1))
@@ -37,9 +40,13 @@ class TestMakeGenerator:
         # Covers N == K and (N-K)·K not a multiple of 8.
         g = rlc.make_generator(k, k + extra, seed)
         stream = SplitMix64(seed)
-        expected = [[stream.next_bit() for _ in range(k)] for _ in range(extra)]
-        assert g.p_block.to_rows() == expected
+        expected = [[next_bit(stream) for _ in range(k)] for _ in range(extra)]
+        assert g.matrix.to_rows()[k:] == expected
         assert g.matrix.take_rows(range(k)) == BitMatrix.identity(k)
+
+    def test_batch_takes_a_1d_seed_array(self):
+        with pytest.raises(ValueError, match="1-D"):
+            rlc.make_generators(2, 4, np.array([[1, 2], [3, 4]], dtype=np.uint64))
 
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
@@ -61,7 +68,7 @@ class TestMakeGenerator:
     )
     def test_top_block_other_than_identity_is_rejected(self, rows):
         with pytest.raises(ValueError, match="identity"):
-            rlc.Generator(k=2, n=3, matrix=BitMatrix.from_rows(rows))
+            rlc.Generator(k=2, n=3, matrix=from_rows(rows))
 
     @settings(max_examples=100)
     @given(st.integers(1, 12), st.integers(0, 5), st.integers(0, 2**64 - 1), st.data())
@@ -92,9 +99,9 @@ class TestEncode:
         assert rlc.encode(g, BitMatrix.zeros(3, 8)) == BitMatrix.zeros(6, 8)
 
     def test_hand_example(self):
-        g = rlc.Generator(k=2, n=3, matrix=BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]))
-        u = BitMatrix.from_rows([[1, 0], [0, 1]])
-        assert rlc.encode(g, u) == BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+        g = rlc.Generator(k=2, n=3, matrix=from_rows([[1, 0], [0, 1], [1, 1]]))
+        u = from_rows([[1, 0], [0, 1]])
+        assert rlc.encode(g, u) == from_rows([[1, 0], [0, 1], [1, 1]])
 
     def test_shape_mismatch(self):
         g = rlc.make_generator(3, 6, 1)
@@ -128,7 +135,7 @@ class TestParityCheck:
         assert gf2.matmul(h.matrix.transpose(), g.matrix) == BitMatrix.zeros(0, 4)
 
     def test_hand_example(self):
-        g = rlc.Generator(k=2, n=3, matrix=BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]]))
+        g = rlc.Generator(k=2, n=3, matrix=from_rows([[1, 0], [0, 1], [1, 1]]))
         h = rlc.parity_check(g)
         assert h.matrix.transpose().to_rows() == [[1, 1, 1]]
         assert gf2.matmul(h.matrix.transpose(), g.matrix) == BitMatrix.zeros(1, 2)
@@ -143,7 +150,7 @@ class TestParityCheck:
 
 class TestDecode:
     def test_identity_rows(self):
-        u = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+        u = from_rows([[1, 1, 0], [0, 1, 1]])
         assert rlc.rlc_decode(BitMatrix.identity(2), u) == u
 
     def test_too_few_rows(self):

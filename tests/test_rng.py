@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlcgrand import rng
+
+from oracles import next_bit, next_float
 
 
 def test_splitmix64_reference_vector():
@@ -26,7 +29,7 @@ def test_bits_and_floats_derive_from_the_same_stream():
     outs = [stream.next_uint64() for _ in range(32)]
     assert rng.bit_block(seed, 32).tolist() == [z >> 63 for z in outs]
     stream = rng.SplitMix64(seed)
-    floats = [stream.next_float() for _ in range(32)]
+    floats = [next_float(stream) for _ in range(32)]
     block = rng.uint64_block(seed, 32)
     assert floats == ((block >> np.uint64(11)) * 2.0**-53).tolist()
     assert all(0.0 <= f < 1.0 for f in floats)
@@ -54,8 +57,15 @@ def test_random_bit_matrix_row_major_bits():
     seed = 42
     m = rng.random_bit_matrix(seed, 3, 5)
     stream = rng.SplitMix64(seed)
-    expected = [[stream.next_bit() for _ in range(5)] for _ in range(3)]
+    expected = [[next_bit(stream) for _ in range(5)] for _ in range(3)]
     assert m.to_rows() == expected
+
+
+def test_random_rows_takes_a_1d_seed_array():
+    # A 2-D array once gave the matrices of its first row's seeds only.
+    for seeds in ([[1, 2], [3, 4]], 5):
+        with pytest.raises(ValueError, match="1-D"):
+            rng.random_rows(np.array(seeds, dtype=np.uint64), 2, 3)
 
 
 def test_random_bit_matrix_empty():
@@ -74,7 +84,7 @@ def test_seed_array_blocks_match_per_seed_blocks(seed, rows, n):
         assert block[i].tolist() == rng.uint64_block(rng.derive_seed(seed, i), n).tolist()
     for i, s in enumerate(seeds.tolist()):
         stream = rng.SplitMix64(s)
-        floats = [stream.next_float() for _ in range(n)]
+        floats = [next_float(stream) for _ in range(n)]
         assert floats == ((block[i] >> np.uint64(11)) * 2.0**-53).tolist()
     assert np.array_equal(rng.bit_block(seeds, n), block >> np.uint64(63))
 

@@ -18,6 +18,7 @@ from rlcgrand import tgrand
 from oracles import (
     assert_repair_matches,
     first_hit,
+    from_rows,
     likelihood_order,
     sd_repair_by_enumeration,
     syndrome_of_mask,
@@ -423,7 +424,7 @@ class TestRunWalk:
         # 3, zeros again.  Under cap 2 the middle run is unresolved in
         # every column, each charged min(2^L, cap) = 2; the zero runs
         # resolve at query 1.
-        ht = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])  # columns 0b01, 0b11, 0b10
+        ht = from_rows([[1, 1, 0], [0, 1, 1]])  # columns 0b01, 0b11, 0b10
         lo, hi = b // 3, b - b // 3
         targets = [0] * lo + [0b01 ^ 0b10] * (hi - lo) + [0] * (b - hi)
         s = BitMatrix.trusted(b, 2, tuple(targets)).transpose()

@@ -15,7 +15,7 @@ from rlcgrand.channel import ChannelParams
 from rlcgrand.rng import SplitMix64, derive_seed
 from rlcgrand.simcli import CSV_HEADER, SimConfig, SimRecord, emit_csv, run_experiment, run_trial
 
-from oracles import reference_records, reference_trial, trial_rows
+from oracles import next_float, reference_records, reference_trial, trial_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -160,7 +160,7 @@ def noise_draws(cfg, n, t, row, count):
     """The first uniforms of trial t's noise substream for one row."""
     tseed = derive_seed(cfg.master_seed, n, t)
     stream = SplitMix64(derive_seed(derive_seed(tseed, simcli._TAG_NOISE), row))
-    return [stream.next_float() for _ in range(count)]
+    return [next_float(stream) for _ in range(count)]
 
 
 def assert_span_matches_contract(cfg, n, start, stop):

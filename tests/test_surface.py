@@ -1,12 +1,13 @@
-"""Every module-level function and class of the package has a user.
+"""Every function, class and class member of the package has a user.
 
-A definition in ``src/rlcgrand/*.py`` must be referenced from a package
-module other than ``__init__.py``, the benchmark (``perfbench/``), the
-scripts (``scripts/``), the frozen acceptance tests or the README's
-library example.  Being exported in ``rlcgrand.__all__`` does not count:
-the re-export is not a use.  Library code that only unit tests call
-fails here: it belongs in the tests, or its tests belong on the public
-path.
+A module-level definition in ``src/rlcgrand/*.py``, and every method,
+classmethod and property of its classes (dunders excepted), must be
+referenced from a package module other than ``__init__.py``, the
+benchmark (``perfbench/``), the scripts (``scripts/``), the frozen
+acceptance tests or the README's library example.  Being exported in
+``rlcgrand.__all__`` does not count: the re-export is not a use.  Library
+code that only unit tests call fails here: it belongs in the tests, or
+its tests belong on the public path.
 """
 
 import ast
@@ -22,6 +23,7 @@ USERS = [
     ROOT / "tests" / "test_acceptance.py",
 ]
 README = ROOT / "README.md"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def referenced_names(source: str) -> set[str]:
@@ -37,15 +39,26 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
+def definitions(module: ast.Module):
+    """(qualified name, name) of each module-level function and class, and
+    of each non-dunder function defined in a class body."""
+    for node in module.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, FUNCTIONS) and not re.fullmatch(r"__\w+__", member.name):
+                    yield f"{node.name}.{member.name}", member.name
+
+
 def test_every_definition_has_a_user():
     sources = [p.read_text() for p in USERS]
     sources += re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     used = set().union(*(referenced_names(s) for s in sources))
     unused = [
-        f"{path.name}:{node.name}"
+        f"{path.name}:{qualified}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.parse(path.read_text(), str(path)).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in used
+        for qualified, name in definitions(ast.parse(path.read_text(), str(path)))
+        if name not in used
     ]
     assert unused == []

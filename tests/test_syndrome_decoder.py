@@ -12,6 +12,7 @@ from rlcgrand.rng import random_bit_matrix
 
 from oracles import (
     assert_repair_matches,
+    from_rows,
     matvec_check,
     min_weight_solutions,
     sd_repair_by_enumeration,
@@ -41,7 +42,7 @@ def small_system(max_checks=4, max_unknowns=4, max_cols=6):
 def sd_column(ht, s_bits, query_cap=sd.DEFAULT_QUERY_CAP):
     """sd's estimate of one column as bits, from `sd_repair` over a
     one-column system; None when the column is unresolved."""
-    s = BitMatrix.from_rows([[bit] for bit in s_bits], cols=1)
+    s = from_rows([[bit] for bit in s_bits], cols=1)
     res = sd.sd_repair(sd.SyndromeSystem(ht=ht, s=s), query_cap)
     return None if res.unresolved else res.e_hat.row_ints
 
@@ -75,11 +76,11 @@ class TestComputeSyndrome:
 
 class TestSolveColumn:
     def test_zero_syndrome_returns_zero(self):
-        ht = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        ht = from_rows([[1, 0, 1], [0, 1, 1]])
         assert sd_column(ht, [0, 0]) == (0, 0, 0)
 
     def test_hand_enumeration(self):
-        ht = BitMatrix.from_rows([[1, 0], [1, 1]])
+        ht = from_rows([[1, 0], [1, 1]])
         assert sd_column(ht, [1, 1]) == (1, 0)
 
     def test_no_checks_vacuous(self):
@@ -87,7 +88,7 @@ class TestSolveColumn:
         assert sd_column(ht, []) == (0, 0, 0)
 
     def test_cap_exceeded(self):
-        ht = BitMatrix.from_rows([[1, 0], [0, 1]])
+        ht = from_rows([[1, 0], [0, 1]])
         assert sd_column(ht, [1, 1], query_cap=3) is None
 
     def test_minimality_at_twelve_unknowns(self):
@@ -208,15 +209,15 @@ class TestRepair:
     def test_single_error_single_column(self):
         # One corrupted packet, a 1-bit error at column 2; the only
         # weight-1 solution flips exactly that bit.
-        ht = BitMatrix.from_rows([[1], [1]])
-        s = BitMatrix.from_rows([[0, 0, 1, 0], [0, 0, 1, 0]])
+        ht = from_rows([[1], [1]])
+        s = from_rows([[0, 0, 1, 0], [0, 0, 1, 0]])
         res = sd.sd_repair(sd.SyndromeSystem(ht=ht, s=s))
-        assert res.e_hat == BitMatrix.from_rows([[0, 0, 1, 0]])
+        assert res.e_hat == from_rows([[0, 0, 1, 0]])
         assert res.queries_per_column == (1, 1, 2, 1)
 
     def test_cap_marks_columns_unresolved(self):
-        ht = BitMatrix.from_rows([[1, 0], [0, 1]])
-        s = BitMatrix.from_rows([[0, 1], [0, 1]])  # second column needs weight 2
+        ht = from_rows([[1, 0], [0, 1]])
+        s = from_rows([[0, 1], [0, 1]])  # second column needs weight 2
         res = sd.sd_repair(sd.SyndromeSystem(ht=ht, s=s), query_cap=3)
         assert res.unresolved == (1,)
         assert res.e_hat.col_ints()[1] == 0

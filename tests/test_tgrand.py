@@ -11,6 +11,7 @@ from rlcgrand.tgrand import ColumnPrior
 
 from oracles import (
     assert_repair_matches,
+    from_rows,
     likelihood_order,
     map_solution,
     matvec_check,
@@ -193,7 +194,7 @@ class TestEnumeration:
 
 class TestSolveColumn:
     def test_zero_syndrome_zero_prior(self):
-        ht = BitMatrix.from_rows([[1, 0], [0, 1]])
+        ht = from_rows([[1, 0], [0, 1]])
         prior = ColumnPrior.from_bits((0,) * 2)
         params = ChannelParams(p01=0.1, p10=0.5)
         assert tgrand.tg_solve_column(ht, [0, 0], prior, params) == (0, 0)
@@ -201,19 +202,27 @@ class TestSolveColumn:
     def test_prior_biases_the_answer(self):
         # Brute force of all four candidates: [1,1] at 0.36, then [0,1]
         # and [1,0] at 0.24, then [0,0] at 0.16; first satisfying is [1,0].
-        ht = BitMatrix.from_rows([[1, 0], [1, 1]])
+        ht = from_rows([[1, 0], [1, 1]])
         prior = ColumnPrior.from_bits((1, 1))
         params = ChannelParams(p01=0.1, p10=0.4)
         assert tgrand.tg_solve_column(ht, [1, 1], prior, params) == (1, 0)
 
     def test_prior_length_must_match_the_unknowns(self):
-        ht = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+        ht = from_rows([[1, 0, 1], [0, 1, 1]])
         prior = ColumnPrior.from_bits((0, 1))
         with pytest.raises(ValueError, match="prior length 2 does not match 3 unknowns"):
             tgrand.tg_solve_column(ht, [1, 0], prior, ChannelParams(p01=0.1, p10=0.5))
 
+    def test_entries_must_be_bits(self):
+        # Other entries were once read modulo 2: (2, 1, 3) as (0, 1, 1).
+        with pytest.raises(ValueError, match=r"prior entries must be 0 or 1, got \(2, 1, 3\)"):
+            ColumnPrior.from_bits((2, 1, 3))
+        ht, prior = from_rows([[1, 0], [0, 1]]), ColumnPrior.from_bits((0, 0))
+        with pytest.raises(ValueError, match=r"syndrome entries must be 0 or 1, got \(2, 1\)"):
+            tgrand.tg_solve_column(ht, (2, 1), prior, ChannelParams(p01=0.1, p10=0.5))
+
     def test_cap_exceeded(self):
-        ht = BitMatrix.from_rows([[1, 0], [0, 1]])
+        ht = from_rows([[1, 0], [0, 1]])
         prior = ColumnPrior.from_bits((0,) * 2)
         params = ChannelParams(p01=0.1, p10=0.5)
         assert tgrand.tg_solve_column(ht, [1, 1], prior, params, query_cap=3) is None
@@ -249,7 +258,7 @@ class TestSolveColumn:
         s_bits = tuple((target >> i) & 1 for i in range(checks))
         params = ChannelParams(p01=p01, p10=1.0 - p01)
         tg_ans = tgrand.tg_solve_column(ht, s_bits, prior, params)
-        s = BitMatrix.from_rows([[bit] for bit in s_bits], cols=1)
+        s = from_rows([[bit] for bit in s_bits], cols=1)
         sd_res = sd.sd_repair(SyndromeSystem(ht=ht, s=s))
         assert tg_ans is not None and sd_res.unresolved == ()
         assert sum(tg_ans) == sum(sd_res.e_hat.row_ints)
@@ -310,18 +319,18 @@ class TestRepair:
         # One corrupted packet; Ht is a single nonzero column, so each bit
         # position has a unique solution and the burst is recovered exactly.
         e_row = [0, 0, 0, 0, 0, 1, 1, 1, 0, 0]
-        ht = BitMatrix.from_rows([[1]])
-        s = BitMatrix.from_rows([e_row])
+        ht = from_rows([[1]])
+        s = from_rows([e_row])
         params = ChannelParams.from_eps_lambda(0.1, 3.0)
         res = tgrand.tg_repair(SyndromeSystem(ht=ht, s=s), params)
-        assert res.e_hat == BitMatrix.from_rows([e_row])
+        assert res.e_hat == from_rows([e_row])
         assert res.unresolved == ()
 
     def test_cap_resets_prior_to_zero(self):
         # Column 0 is unsatisfiable within the cap; column 1 must then be
         # solved against the all-zero prior, not the truth.
-        ht = BitMatrix.from_rows([[1, 0], [0, 1]])
-        s = BitMatrix.from_rows([[1, 0], [1, 0]])
+        ht = from_rows([[1, 0], [0, 1]])
+        s = from_rows([[1, 0], [1, 0]])
         params = ChannelParams(p01=0.1, p10=0.5)
         res = tgrand.tg_repair(SyndromeSystem(ht=ht, s=s), params, query_cap=3)
         assert res.unresolved == (0,)
@@ -396,8 +405,8 @@ class TestRepair:
         # all of them tie.  The coset {0011, 1100} has d = 1, so the hit at
         # position 6 (past 2^d) comes from the ranking step, whose class
         # offsets must follow the tie order of sorted_classes.
-        ht = BitMatrix.from_rows([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
-        s = BitMatrix.from_rows([[1], [1], [0]])
+        ht = from_rows([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+        s = from_rows([[1], [1], [0]])
         params = ChannelParams(p01=0.0, p10=0.5)
         res = tgrand.tg_repair(SyndromeSystem(ht=ht, s=s), params, query_cap=1 << 20)
         assert_repair_matches(res, tg_repair_by_enumeration(ht, s, params, 1 << 20))
