@@ -96,22 +96,14 @@ def syndrome_system(batch: ReceivedBatch, gen: Generator) -> SyndromeSystem:
     of Hᵀ = [P | I_{N-K}], the mask P_i | 1 << (K+i), and S = Hᵀ·Y is a
     `gf2.mul_rows` product of the checks.  H_R̄ᵀ is handed over by
     columns: column c is row rbar[c] of H, which is 1 << i for a
-    corrupted parity row K+i and column r of P for a corrupted
-    systematic row r.  `rlc.parity_check` and
+    corrupted parity row K+i and column r of P (`BitMatrix.col_ints`) for
+    a corrupted systematic row r.  `rlc.parity_check` and
     `syndrome_decoder.compute_syndrome` are the reference it equals.
     """
     k, y = gen.k, batch.y
     p = gen.matrix.row_ints[k:]
-    last_first = p[::-1]
-    cols = []
-    for r in batch.rbar:
-        if r >= k:
-            cols.append(1 << (r - k))
-        else:
-            col = 0  # bit i = bit r of check i, shifted in from the last check
-            for p_i in last_first:
-                col = col << 1 | p_i >> r & 1
-            cols.append(col)
+    p_cols = BitMatrix.trusted(len(p), k, p).col_ints()
+    cols = [p_cols[r] if r < k else 1 << (r - k) for r in batch.rbar]
     checks = [p_i | 1 << i for i, p_i in enumerate(p, k)]
     s = BitMatrix.trusted(len(checks), y.cols, gf2.mul_rows(checks, y.row_ints))
     return SyndromeSystem.from_columns(cols, s)

@@ -170,10 +170,8 @@ class SyndromeSystem:
         the channel's class table there is the weight table (p01 <= 1/2), so
         sd and tgrand share that search.  It holds the core, never the
         system, so no reference cycle keeps a used system alive."""
-        search = self._searches.get((order, query_cap))
-        if search is None:
-            search = self._searches[order, query_cap] = OrderedSearch(self.core, order, query_cap)
-        return search
+        searches, key = self._searches, (order, query_cap)
+        return searches.get(key) or searches.setdefault(key, OrderedSearch(self.core, *key))
 
 
 class OrderedSearch:
@@ -259,22 +257,18 @@ def repair_columns(
     queries), written with one run mask per estimate bit.
     """
     searches: dict[int, OrderedSearch] = {}
-
-    def new_search(prior: int) -> OrderedSearch:
-        search = searches[prior] = search_for(prior)
-        return search
-
     rows = [0] * system.core.num_unknowns
     queries: list[int] = []
     unresolved: list[int] = []
     prior = 0
     for b, end, target in system.runs:
-        search = searches.get(prior) or new_search(prior)
+        search = searches.get(prior) or searches.setdefault(prior, search_for(prior))
         while True:
             mask, q = search.find(target)
             prior, stop = mask or 0, b + 1
             if stop < end:
-                last, search = search, searches.get(prior) or new_search(prior)
+                last = search
+                search = searches.get(prior) or searches.setdefault(prior, search_for(prior))
                 if search is last:
                     stop = end
             # Columns b..stop-1 get (mask, q).

@@ -55,7 +55,8 @@ from .gf2 import BitMatrix
 from .pipeline import DecodeOutcome, attempt_rlc, classify, needs_repair, redecode, syndrome_system
 from .rlc import encode, make_generators
 from .rng import derive_seed, derive_seeds, random_rows
-from .syndrome_decoder import DEFAULT_QUERY_CAP, sd_repair
+from .search import DEFAULT_QUERY_CAP
+from .syndrome_decoder import sd_repair
 from .tgrand import tg_repair
 
 DECODERS = ("rlc", "sd", "tgrand")

@@ -60,13 +60,17 @@ class TransitionClass:
 
 @dataclass(frozen=True)
 class ColumnPrior:
-    """Previous column's estimate, one bit per corrupted packet."""
+    """Previous column's estimate, one bit per corrupted packet, kept as a
+    tuple of 0/1 ints; any other entry raises `ValueError`."""
 
     prev: tuple[int, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "prev", _binary(self.prev, "prior"))
+
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "ColumnPrior":
-        return cls(prev=_binary(bits, "prior"))
+        return cls(prev=bits)
 
     @property
     def length(self) -> int:
@@ -88,7 +92,10 @@ def sorted_classes(params: ChannelParams, big_l0: int, big_l1: int) -> list[Tran
 
     Probabilities are compared in the log domain; classes within
     TIE_TOLERANCE of each other order by smaller l0+l1, then smaller l0.
+    A negative L0 or L1 raises `ValueError`.
     """
+    if big_l0 < 0 or big_l1 < 0:
+        raise ValueError(f"class counts must be non-negative, got ({big_l0}, {big_l1})")
     return [
         TransitionClass(
             l0=l0,
@@ -101,7 +108,7 @@ def sorted_classes(params: ChannelParams, big_l0: int, big_l1: int) -> list[Tran
 
 
 class ClassTable(NamedTuple):
-    """An order's class table, described at `LikelihoodOrder`."""
+    """An order's class table (see `LikelihoodOrder`); ``kept`` > 0 marks the weight table."""
 
     pairs: tuple[tuple[int, int], ...]
     offsets: tuple[int, ...]
@@ -226,7 +233,7 @@ class LikelihoodOrder:
       masks.  Only the weight table, whose classes are the weights 0, 1,
       ..., L (the all-zero prior at p01 <= 1/2), keeps any: every system
       asks for its order, so it keeps the whole weights within
-      `MEMO_MASKS` masks.
+      `MEMO_MASKS` masks, weight 0 at least, so ``kept`` > 0 marks it.
 
     `masks` yields the prefix, then generates the rest.  Orders compare by
     identity.
@@ -276,10 +283,10 @@ class LikelihoodOrder:
 @lru_cache(maxsize=1024)
 def likelihood_order(prior_mask: int, l: int, p01: float, p10: float) -> LikelihoodOrder:
     """The channel's `LikelihoodOrder` for (prior, L); priors recur across systems.
-    Where its classes are the weight order's, it is `weight_order(l)` itself."""
+    On the weight table (``kept`` > 0) it is `weight_order(l)` itself."""
     ones = prior_mask.bit_count()
     table = _class_table(p01, p10, l - ones, ones)
-    if not prior_mask and table.pairs == weight_order(l)._classes:
+    if table.kept:
         return weight_order(l)
     return LikelihoodOrder(prior_mask, l, table)
 
@@ -315,7 +322,7 @@ def _binary(bits: Sequence[int], what: str) -> tuple[int, ...]:
 def bits_to_mask(bits: Sequence[int]) -> int:
     mask = 0
     for i, bit in enumerate(bits):
-        mask |= (bit & 1) << i
+        mask |= bit << i
     return mask
 
 

@@ -202,7 +202,7 @@ class TestSolveUnique:
         assert got == (None if gf2.rank(a) < a.cols else x)
 
 
-class TestRankSolve:
+class TestRlcDecode:
     """``rlc_decode`` ranks and solves in one elimination: it solves
     exactly when the rank is full, raise for raise."""
 

@@ -36,7 +36,7 @@ class TestMakeGenerator:
 
     @settings(max_examples=100)
     @given(st.integers(1, 17), st.integers(0, 17), st.integers(0, 2**64 - 1))
-    def test_p_block_is_the_scalar_bit_stream(self, k, extra, seed):
+    def test_parity_rows_are_the_scalar_bit_stream(self, k, extra, seed):
         # Covers N == K and (N-K)·K not a multiple of 8.
         g = rlc.make_generator(k, k + extra, seed)
         stream = SplitMix64(seed)

@@ -131,7 +131,7 @@ class TestWeightOrder:
         for i, mask in enumerate(masks):
             assert order.position(mask) == i + 1
 
-    @pytest.mark.parametrize("l", range(7))
+    @pytest.mark.parametrize("l", range(13))
     def test_channel_params_past_one_half_reverse_it(self, l):
         # The channel's all-zero-prior order is sd's exactly when its class
         # table is the weight table: at p01 <= 1/2, including the tie rule
@@ -139,7 +139,9 @@ class TestWeightOrder:
         # first, so sd cannot use the channel's params.  A system shares
         # sd's search with the channel's all-zero-prior one exactly then,
         # by identity: a separately built order in an equal table gets its
-        # own search, with the same hits.
+        # own search, with the same hits.  A nonzero prior never gets sd's
+        # order.  The grid holds the boundary channels p01 = 0, 1/2, 1 and
+        # p10 = 1.
         weights = tuple((w, 0) for w in range(l + 1))
         sd_masks = list(sd.weight_order(l).masks())
         system = sd.SyndromeSystem(ht=random_bit_matrix(l, 3, l), s=BitMatrix.zeros(3, 2))
@@ -151,13 +153,16 @@ class TestWeightOrder:
         for target in range(1 << 3):
             assert own_search.find(target) == sd_search.find(target)
         assert system.search(sd.weight_order(l), cap + 1) is not sd_search
-        for p01 in (0.0, 0.1, 0.5, 0.6, 0.9, 1.0):
-            for p10 in (0.3, 1.0):
-                masks = list(tgrand.likelihood_order(0, l, p01, p10).masks())
+        priors = {1, (1 << l) - 1, 0b101101101101 & ((1 << l) - 1)} - {0}
+        for p01 in (*(i / 32 for i in range(33)), 0.1, 0.6, 0.9):
+            for p10 in (*(j / 32 for j in range(1, 33)), 0.3):
+                order = tgrand.likelihood_order(0, l, p01, p10)
+                masks = list(order.masks())
                 table = tuple(
                     (c.l0, c.l1) for c in tgrand.sorted_classes(ChannelParams(p01, p10), l, 0)
                 )
-                tg_search = system.search(tgrand.likelihood_order(0, l, p01, p10), cap)
+                assert (order is sd.weight_order(l)) == (table == weights)
+                tg_search = system.search(order, cap)
                 if p01 <= 0.5:
                     assert masks == sd_masks
                     assert table == weights
@@ -166,6 +171,8 @@ class TestWeightOrder:
                     assert masks != sd_masks
                     assert masks[0] == (1 << l) - 1
                     assert tg_search is not sd_search
+                for prior in priors:
+                    assert tgrand.likelihood_order(prior, l, p01, p10) is not sd.weight_order(l)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 13), st.lists(st.integers(1, 600), min_size=1, max_size=40))

@@ -47,6 +47,19 @@ class TestClassProbability:
             tgrand.class_probability(EX_PARAMS, 2, 3, 3, 0)
 
 
+class TestColumnPrior:
+    @pytest.mark.parametrize("prev", [(2, 3), (0, 1, -1)])
+    def test_direct_construction_takes_only_bits(self, prev):
+        # Read modulo 2, (2, 3) would start its order at (0, 1).
+        with pytest.raises(ValueError, match="prior entries must be 0 or 1"):
+            ColumnPrior(prev=prev)
+
+    def test_a_list_is_kept_as_a_tuple(self):
+        prior = ColumnPrior(prev=[0, 1])
+        assert prior.prev == (0, 1)
+        assert hash(prior) == hash(ColumnPrior.from_bits((0, 1)))
+
+
 class TestSortedClasses:
     def test_worked_example_ordering(self):
         classes = tgrand.sorted_classes(EX_PARAMS, 2, 3)
@@ -61,6 +74,12 @@ class TestSortedClasses:
         classes = tgrand.sorted_classes(EX_PARAMS, 0, 0)
         assert len(classes) == 1
         assert classes[0] == tgrand.TransitionClass(l0=0, l1=0, prob=1.0, count=1)
+
+    @pytest.mark.parametrize("big_l0, big_l1", [(-1, 2), (2, -1), (-1, -1)])
+    def test_rejects_negative_counts(self, big_l0, big_l1):
+        # class_probability rejects the same counts.
+        with pytest.raises(ValueError, match="class counts must be non-negative"):
+            tgrand.sorted_classes(EX_PARAMS, big_l0, big_l1)
 
     @settings(max_examples=100)
     @given(coarse_prob, coarse_prob, st.integers(0, 6), st.integers(0, 6))
