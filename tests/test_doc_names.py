@@ -4,8 +4,7 @@ resolves, when its head is a package module or a package class.
 A name such as `gf2.Echelon` or `SyndromeSystem.search` in a docstring,
 a comment or the README must name a module attribute or a class member
 that exists, so a rename or a deletion cannot leave it behind.  File
-names such as `search.py` are skipped; a dataclass field counts as a
-member of its class.
+names such as `search.py` are skipped.
 """
 
 import importlib
@@ -43,12 +42,10 @@ def doc_names():
 def resolves(name: str) -> bool:
     head, *rest = name.split(".")
     obj = MODULES[head] if head in MODULES else CLASSES[head]
-    for i, attr in enumerate(rest):
-        if hasattr(obj, attr):
-            obj = getattr(obj, attr)
-        else:
-            last = i == len(rest) - 1
-            return last and attr in getattr(obj, "__dataclass_fields__", {})
+    for attr in rest:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
     return True
 
 
@@ -62,4 +59,4 @@ def test_a_stale_name_is_caught():
     # The names the benchmark's notes kept after their functions went.
     assert not resolves("simcli._trial_batch")
     assert not resolves("pipeline.repair_and_redecode")
-    assert resolves("SyndromeSystem.search") and resolves("ColumnPrior.prev")
+    assert resolves("SyndromeSystem.search")
