@@ -10,9 +10,8 @@ matrices can be shared: `BitMatrix.identity` builds I_n once per n.
 `Echelon` is the one elimination in the package.  It takes the rows of
 a system one at a time, so a receiver reduces its clean rows once and
 later adds only the rows a repair promotes; `rank` and `rlc.rlc_decode`
-feed it a whole matrix, and the repair search (`search.SearchCore`)
-feeds it the nonzero columns of ht, each with its own index bit as right
-side.
+feed it a whole matrix, and a syndrome system (`search.SyndromeSystem`)
+feeds it the columns of ht, each with its own index bit as right side.
 """
 
 from __future__ import annotations
@@ -85,12 +84,12 @@ class BitMatrix(_Slots):
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls.trusted(rows, cols, (0,) * rows)
+        return cls(rows, cols, (0,) * rows)
 
     @classmethod
     @lru_cache(maxsize=None)
     def identity(cls, n: int) -> "BitMatrix":
-        return cls.trusted(n, n, tuple(1 << i for i in range(n)))
+        return cls(n, n, tuple(1 << i for i in range(n)))
 
     def row_bits(self, i: int) -> tuple[int, ...]:
         r = self.row_ints[i]

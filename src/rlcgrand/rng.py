@@ -116,6 +116,8 @@ def random_rows(seeds: np.ndarray, rows: int, cols: int) -> list[tuple[int, ...]
     of a 1-D array, drawn and packed in one pass."""
     if seeds.ndim != 1:
         raise ValueError(f"seeds must be a 1-D array, got shape {seeds.shape}")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix dimensions must be non-negative, got {rows}x{cols}")
     packed = pack_rows(bit_block(seeds, rows * cols))
     ints = unpack_rows(packed, len(seeds) * rows, cols)
     return [tuple(ints[i * rows:(i + 1) * rows]) for i in range(len(seeds))]

@@ -10,11 +10,10 @@ a generator of candidate masks in query order and a rule that picks,
 from any set of masks, the one it queries first, with its position.
 
 The solutions of one column form a coset x0 + ker(ht) of dimension
-d = L - rank(ht).  Reducing the nonzero columns of ht once per system in
-a `gf2.Echelon`, with a record of which columns were combined, gives a
-particular solution x0 for any target and a basis of the kernel; each
-zero column is a kernel vector as it stands.  A
-target is then resolved in two steps:
+d = L - rank(ht).  Reducing the columns of ht once per system in a
+`gf2.Echelon`, with a record of which columns were combined, gives a
+particular solution x0 for any target and a basis of the kernel
+(`SyndromeSystem`).  A target is then resolved in two steps:
 
 - scan: test candidates in query order, at most min(2^d, cap) of them.
   The first position of every syndrome seen is memoised, so later targets
@@ -61,53 +60,6 @@ class CandidateOrder(Protocol):
         """(1-based query position, mask) of the mask in `masks` queried first."""
 
 
-class SearchCore:
-    """Coset structure of one syndrome system, eliminated once.
-
-    ``cols`` are the columns of ht, as masks over the ``checks`` checks.
-    A nonzero column j enters one `gf2.Echelon` as the row (column j,
-    1 << j), so each right side records which original columns were
-    combined, and a leftover is the mask of a kernel vector; a zero column
-    is the kernel vector 1 << j itself and is not added.  `particular` is
-    the echelon's `reduce`: some w with ht·w = target, or None when the
-    target is out of reach.  `dim` is the coset dimension
-    d = L - rank(ht); for a received batch it equals K - rank(G_R).
-
-    One core serves every candidate order over the same system.
-    """
-
-    def __init__(self, cols: Sequence[int], checks: int):
-        ech = Echelon(checks, len(cols))
-        add = ech.add
-        kernel = []
-        for j, col in enumerate(cols):
-            if not col:
-                kernel.append(1 << j)
-            elif w := add(col, 1 << j):
-                kernel.append(w >> checks)
-        self._kernel = kernel
-        self.particular = ech.reduce
-        self.dim = len(cols) - ech.rank
-        self.num_unknowns = len(cols)
-        self.cols = tuple(cols)
-
-    def syndrome(self, mask: int) -> int:
-        """ht·w for the candidate w = `mask`: the XOR of the columns it selects."""
-        cols, s = self.cols, 0
-        while mask:
-            low = mask & -mask
-            s ^= cols[low.bit_length() - 1]
-            mask ^= low
-        return s
-
-    def coset(self, x0: int) -> list[int]:
-        """All 2^d solutions x0 + ker(ht)."""
-        members = [x0]
-        for v in self._kernel:
-            members += [m ^ v for m in members]
-        return members
-
-
 # One run of equal column targets: (first column, end column, target).
 Run = tuple[int, int, int]
 
@@ -136,11 +88,18 @@ def column_runs(s: BitMatrix) -> tuple[Run, ...]:
 class SyndromeSystem:
     """Per-batch syndrome system: ht = (H_corrupted)ᵀ of shape (N-K)×L, s = (N-K)×B.
 
-    The columns of ht are eliminated (`core`) and s is split into its
-    runs of equal column targets (`runs`) once, when the system is built,
-    so every repair run on the system shares that work; `search` shares
-    each order's search.  ``SyndromeSystem(ht=, s=)`` takes ht as a
-    matrix; `from_columns` takes its L columns (`core.cols`), which is how
+    Built once, it serves every repair and every candidate order on the
+    batch.  ``cols`` are the L columns of ht, as masks over s's rows.
+    Column j enters one `gf2.Echelon` as the row (column j, 1 << j), so
+    each right side records which columns were combined and each leftover
+    is the mask of a kernel vector; a zero column is its own leftover,
+    1 << j.  So ``kernel`` is a basis of ker(ht), ``particular`` is the
+    echelon's `gf2.Echelon.reduce` (some w with ht·w = target, or None
+    when the target is out of reach) and ``dim`` is the coset dimension
+    d = L - rank(ht); for a received batch it equals K - rank(G_R).
+    ``runs`` are the runs of equal column targets of s, and `search`
+    shares each order's search.  ``SyndromeSystem(ht=, s=)`` takes ht as a
+    matrix; `from_columns` takes its columns, which is how
     `pipeline.syndrome_system` builds it, so ht's rows are never formed.
     """
 
@@ -157,8 +116,14 @@ class SyndromeSystem:
         return system
 
     def _build(self, cols: Sequence[int], s: BitMatrix) -> None:
+        checks, ech = s.rows, Echelon(s.rows, len(cols))
+        add = ech.add
+        self.cols = tuple(cols)
+        self.kernel = [w >> checks for j, col in enumerate(cols) if (w := add(col, 1 << j))]
+        self.particular = ech.reduce
+        self.dim = len(cols) - ech.rank
+        self.num_unknowns = len(cols)
         self.s = s
-        self.core = SearchCore(cols, s.rows)
         self.runs = column_runs(s)
         self._searches: dict = {}
 
@@ -168,10 +133,11 @@ class SyndromeSystem:
         its scan and memo.  sd's order, `tgrand.weight_order`, is the object
         that `tgrand.likelihood_order` returns at the all-zero prior wherever
         the channel's class table there is the weight table (p01 <= 1/2), so
-        sd and tgrand share that search.  It holds the core, never the
-        system, so no reference cycle keeps a used system alive."""
+        sd and tgrand share that search.  A search keeps the system's
+        columns, kernel and `particular`, never the system, so no reference
+        cycle keeps a used system alive."""
         searches, key = self._searches, (order, query_cap)
-        return searches.get(key) or searches.setdefault(key, OrderedSearch(self.core, *key))
+        return searches.get(key) or searches.setdefault(key, OrderedSearch(self, *key))
 
 
 class OrderedSearch:
@@ -183,15 +149,17 @@ class OrderedSearch:
     search that may make no query has no answer to give.
     """
 
-    def __init__(self, core: SearchCore, order: CandidateOrder, query_cap: int):
+    def __init__(self, system: SyndromeSystem, order: CandidateOrder, query_cap: int):
         if query_cap < 1:
             raise ValueError(f"query cap must be at least 1, got {query_cap}")
-        self._core = core
+        self._cols = system.cols
+        self._kernel = system.kernel
+        self._particular = system.particular
         self._order = order
         self._masks = order.masks()
         self._query_cap = query_cap
-        self._scan_limit = min(1 << core.dim, query_cap)
-        self._miss_cost = min(1 << core.num_unknowns, query_cap)
+        self._scan_limit = min(1 << system.dim, query_cap)
+        self._miss_cost = min(1 << system.num_unknowns, query_cap)
         self._scanned = 0
         # Syndrome -> first hit.  Holds every syndrome the scan has seen
         # and every target resolved after it.
@@ -206,14 +174,17 @@ class OrderedSearch:
         return hit
 
     def _resolve(self, target: int) -> Hit:
-        core = self._core
-        x0 = core.particular(target)
+        x0 = self._particular(target)
         if x0 is None:
             return None, self._miss_cost
-        found, syndrome, n = self._found, core.syndrome, self._scanned
+        found, cols, n = self._found, self._cols, self._scanned
         for mask in islice(self._masks, self._scan_limit - n):
             n += 1
-            s = syndrome(mask)
+            s, w = 0, mask  # s = ht·w, the XOR of the columns w selects
+            while w:
+                low = w & -w
+                s ^= cols[low.bit_length() - 1]
+                w ^= low
             if s not in found:
                 found[s] = (mask, n)
                 if s == target:
@@ -222,7 +193,10 @@ class OrderedSearch:
         self._scanned = n
         if self._scan_limit == self._query_cap:  # the scan walked the whole capped prefix
             return None, self._miss_cost
-        pos, mask = self._order.first(core.coset(x0))
+        coset = [x0]  # x0 + ker(ht): all 2^d solutions
+        for v in self._kernel:
+            coset += [m ^ v for m in coset]
+        pos, mask = self._order.first(coset)
         if pos > self._query_cap:
             return None, self._miss_cost
         return mask, pos
@@ -249,28 +223,23 @@ def repair_columns(
     as ``prior``.
 
     The prior of the first column is 0.  An unresolved column is left
-    all-zero, so the next column's prior is 0 again.  A run starts with
-    the search for its prior; after each answer, if the run has columns
-    left, the walk looks up the search for the new prior.  `find` depends
-    only on (search, target), so when that is the search that just
-    answered, every remaining column of the run gets the same (estimate,
-    queries), written with one run mask per estimate bit.
+    all-zero, so the next column's prior is 0 again.  After each answer
+    the walk looks up the search for the new prior, which the next step
+    uses.  `find` depends only on (search, target), so when that is the
+    search that just answered, every remaining column of the run gets the
+    same (estimate, queries), written with one run mask per estimate bit.
     """
     searches: dict[int, OrderedSearch] = {}
-    rows = [0] * system.core.num_unknowns
+    search = searches[0] = search_for(0)
+    rows = [0] * system.num_unknowns
     queries: list[int] = []
     unresolved: list[int] = []
-    prior = 0
     for b, end, target in system.runs:
-        search = searches.get(prior) or searches.setdefault(prior, search_for(prior))
-        while True:
+        while b < end:
             mask, q = search.find(target)
-            prior, stop = mask or 0, b + 1
-            if stop < end:
-                last = search
-                search = searches.get(prior) or searches.setdefault(prior, search_for(prior))
-                if search is last:
-                    stop = end
+            prior, answered = mask or 0, search
+            search = searches.get(prior) or searches.setdefault(prior, search_for(prior))
+            stop = end if search is answered else b + 1
             # Columns b..stop-1 get (mask, q).
             queries += [q] * (stop - b)
             if mask is None:
@@ -280,8 +249,6 @@ def repair_columns(
                 low = mask & -mask
                 rows[low.bit_length() - 1] |= span
                 mask ^= low
-            if stop == end:
-                break
             b = stop
     return RepairResult(
         e_hat=BitMatrix.trusted(len(rows), len(queries), tuple(rows)),

@@ -93,6 +93,9 @@ class SimConfig:
     channel_params: ChannelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Tuples, so the config hashes and cannot change after its checks.
+        object.__setattr__(self, "n_list", tuple(self.n_list))
+        object.__setattr__(self, "decoders", tuple(self.decoders))
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not self.n_list or any(n < self.k for n in self.n_list):

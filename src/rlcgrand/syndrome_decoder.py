@@ -35,5 +35,5 @@ def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> Rep
     in `unresolved`.  The weight order ignores the previous column, so
     its one search serves every prior and every target.
     """
-    search = system.search(weight_order(system.core.num_unknowns), query_cap)
+    search = system.search(weight_order(system.num_unknowns), query_cap)
     return repair_columns(system, lambda prior: search)

@@ -14,7 +14,7 @@ repair.  Columns are solved left to right, each estimate seeding the
 next column's prior; the prior for the first column is all-zero because
 the chains start in the good state.
 
-The first hit is found with the shared search core (`search.py`), which
+The first hit is found with the shared search (`search.py`), which
 asks the order for the coset member it queries first
 (`LikelihoodOrder.first`) when its scan misses.  A candidate's position
 is
@@ -43,8 +43,9 @@ from .channel import ChannelParams
 from .gf2 import BitMatrix
 from .search import DEFAULT_QUERY_CAP, RepairResult, SyndromeSystem, repair_columns
 
-# Two class probabilities tie when their logs agree to this tolerance;
-# ties fall back to (l0+l1, l0) ordering so runs are reproducible.
+# Two class probabilities tie when their logs are `math.isclose` at this
+# relative and absolute tolerance; ties fall back to (l0+l1, l0) ordering
+# so runs are reproducible.
 TIE_TOLERANCE = 1e-12
 
 
@@ -136,7 +137,9 @@ def _class_table(p01: float, p10: float, big_l0: int, big_l1: int) -> ClassTable
     # each cluster.
     groups: list[list[tuple[float, int, int]]] = []
     for entry in entries:
-        if groups and _log_tie(groups[-1][0][0], entry[0]):
+        if groups and math.isclose(
+            groups[-1][0][0], entry[0], rel_tol=TIE_TOLERANCE, abs_tol=TIE_TOLERANCE
+        ):
             groups[-1].append(entry)
         else:
             groups.append([entry])
@@ -158,14 +161,6 @@ def _log(p: float) -> float:
 def _xlog(k: int, logp: float) -> float:
     # 0 * -inf must be 0 (empty product), not nan.
     return 0.0 if k == 0 else k * logp
-
-
-def _log_tie(a: float, b: float) -> bool:
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= TIE_TOLERANCE * max(1.0, abs(a), abs(b))
 
 
 def enumerate_candidates(
@@ -209,7 +204,7 @@ def tg_repair(
     from the all-zero prior.  Each prior's search is the system's search
     in its likelihood order (`SyndromeSystem.search`).
     """
-    l, p01, p10 = system.core.num_unknowns, params.p01, params.p10
+    l, p01, p10 = system.num_unknowns, params.p01, params.p10
     return repair_columns(
         system, lambda prior: system.search(likelihood_order(prior, l, p01, p10), query_cap)
     )

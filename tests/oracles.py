@@ -10,8 +10,9 @@ contract; the library itself needs none of them.
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key
-from itertools import combinations
+from functools import cmp_to_key, reduce
+from itertools import chain, combinations
+from operator import xor
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
@@ -63,6 +64,12 @@ def row_span(m: BitMatrix) -> set[int]:
     for r in m.row_ints:
         span |= {v ^ r for v in span}
     return span
+
+
+def coset(x0: int, kernel: Sequence[int]) -> list[int]:
+    """x0 XOR each subset of ``kernel``: 2^d members for d kernel vectors."""
+    subsets = chain.from_iterable(combinations(kernel, r) for r in range(len(kernel) + 1))
+    return [reduce(xor, subset, x0) for subset in subsets]
 
 
 def rank_by_row_space(m: BitMatrix) -> int:

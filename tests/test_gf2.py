@@ -52,6 +52,14 @@ class TestConstruction:
             BitMatrix(2, 3, [1])
         with pytest.raises(ValueError, match="column mismatch in vstack"):
             BitMatrix.zeros(1, 2).vstack(BitMatrix.zeros(1, 3))
+        # The factories once built matrices of negative shape, and
+        # identity cached its one.
+        with pytest.raises(ValueError, match="dimensions must be non-negative"):
+            BitMatrix.zeros(-1, 3)
+        with pytest.raises(ValueError, match="dimensions must be non-negative"):
+            BitMatrix.zeros(2, -3)
+        with pytest.raises(ValueError, match="dimensions must be non-negative"):
+            BitMatrix.identity(-1)
 
     def test_empty_shapes_are_legal(self):
         assert BitMatrix.zeros(0, 3).rows == 0

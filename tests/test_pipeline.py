@@ -8,7 +8,7 @@ from rlcgrand.gf2 import BitMatrix
 from rlcgrand.rng import random_bit_matrix
 from rlcgrand.search import RepairResult, SyndromeSystem
 
-from oracles import from_rows, redecode_by_stacking, row_span, syndrome_of_mask
+from oracles import coset, from_rows, redecode_by_stacking, row_span, syndrome_of_mask
 
 
 def _make_batch(g, u, e):
@@ -193,7 +193,7 @@ def test_receiver_invariants_on_random_batches(k, extra, b, gseed, useed, eseed)
     assert syndrome == gf2.matmul(ht_rbar, e.take_rows(batch.rbar))
 
     system = pipeline.syndrome_system(batch, g)
-    assert system.core.cols == ht_rbar.col_ints() and system.s == syndrome
+    assert system.cols == ht_rbar.col_ints() and system.s == syndrome
 
     fresh = {m: _repair(m, pipeline.syndrome_system(batch, g), params) for m in ("sd", "tgrand")}
     for order in (("sd", "tgrand"), ("tgrand", "sd")):
@@ -248,20 +248,19 @@ def test_direct_syndrome_system_equals_the_h_oracle(k, extra, b, gseed, yseed, k
     ht = h.matrix.take_rows(rbar).transpose()
     expected = SyndromeSystem(ht=ht, s=sd.compute_syndrome(h, y))
     system = pipeline.syndrome_system(batch, g)
-    assert system.core.cols == ht.col_ints() and system.s == expected.s
+    assert system.cols == ht.col_ints() and system.s == expected.s
     assert system.s.col_ints() == expected.s.col_ints()
-    assert system.core.dim == k - gf2.rank(g.matrix.take_rows(r))
+    assert system.dim == k - gf2.rank(g.matrix.take_rows(r))
 
     # Every column target: a particular solution exactly when the target
     # lies in the column space of H_R̄ᵀ, and a coset of 2^d members.
-    core = system.core
     column_space = row_span(ht.transpose())
     for t in system.s.col_ints():
-        x0 = core.particular(t)
+        x0 = system.particular(t)
         assert (x0 is None) == (t not in column_space)
         if x0 is not None:
             assert syndrome_of_mask(ht, x0) == t
-            assert len(core.coset(x0)) == 2**core.dim
+            assert len(set(coset(x0, system.kernel))) == 2**system.dim
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,8 +268,8 @@ def test_direct_syndrome_system_equals_the_h_oracle(k, extra, b, gseed, yseed, k
        st.integers(0, 2**32 - 1), st.data())
 def test_column_first_build_at_one_check(k, b, gseed, yseed, data):
     """At N = K + 1 (`deficit`) H_R̄ᵀ has one row, so about half of its
-    columns are zero: each is a kernel vector that never enters the
-    echelon.  The column-first build must agree with `SyndromeSystem`
+    columns are zero: each is its own leftover in the echelon, the kernel
+    vector 1 << j.  The column-first build must agree with `SyndromeSystem`
     built from the H oracle on the coset dimension, the coset of every
     target, the targets and their runs."""
     n = k + 1
@@ -285,12 +284,12 @@ def test_column_first_build_at_one_check(k, b, gseed, yseed, data):
     expected = SyndromeSystem(ht=h.matrix.take_rows(rbar).transpose(), s=sd.compute_syndrome(h, y))
     system = pipeline.syndrome_system(batch, g)
     p = g.matrix.row_ints[k]
-    assert system.core.cols == tuple(p >> i & 1 if i < k else 1 for i in rbar)
-    assert system.core.dim == expected.core.dim == k - gf2.rank(g.matrix.take_rows(r))
+    assert system.cols == tuple(p >> i & 1 if i < k else 1 for i in rbar)
+    assert system.dim == expected.dim == k - gf2.rank(g.matrix.take_rows(r))
     assert system.s.col_ints() == expected.s.col_ints()
     assert system.runs == expected.runs
     for t in (0, 1):
-        x0, want = system.core.particular(t), expected.core.particular(t)
+        x0, want = system.particular(t), expected.particular(t)
         assert (x0 is None) == (want is None)
         if x0 is not None:
-            assert set(system.core.coset(x0)) == set(expected.core.coset(want))
+            assert set(coset(x0, system.kernel)) == set(coset(want, expected.kernel))

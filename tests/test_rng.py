@@ -68,6 +68,13 @@ def test_random_rows_takes_a_1d_seed_array():
             rng.random_rows(np.array(seeds, dtype=np.uint64), 2, 3)
 
 
+@pytest.mark.parametrize("rows, cols", [(-2, 3), (3, -2), (-1, -1)])
+def test_random_bit_matrix_rejects_negative_dimensions(rows, cols):
+    # (-2, 3) once gave a -2x3 matrix, and (3, -2) failed inside unpack_rows.
+    with pytest.raises(ValueError, match="dimensions must be non-negative"):
+        rng.random_bit_matrix(1, rows, cols)
+
+
 def test_random_bit_matrix_empty():
     assert rng.random_bit_matrix(9, 0, 4).rows == 0
     assert rng.random_bit_matrix(9, 4, 0).cols == 0

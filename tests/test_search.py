@@ -12,11 +12,12 @@ from rlcgrand.gf2 import BitMatrix
 from rlcgrand.pipeline import attempt_rlc, classify, needs_repair, syndrome_system
 from rlcgrand.rlc import encode, make_generator, parity_check
 from rlcgrand.rng import random_bit_matrix
-from rlcgrand.search import DEFAULT_QUERY_CAP, OrderedSearch, SearchCore
+from rlcgrand.search import DEFAULT_QUERY_CAP, OrderedSearch, SyndromeSystem
 from rlcgrand import tgrand
 
 from oracles import (
     assert_repair_matches,
+    coset,
     first_hit,
     from_rows,
     likelihood_order,
@@ -41,9 +42,9 @@ class TestCosetDimension:
         y, _ = channel.apply(ChannelParams.from_eps_lambda(eps, burst_len), x, nseed)
         batch = classify(y, x)
         ht = parity_check(gen).matrix.take_rows(batch.rbar).transpose()
-        core = SearchCore(ht.col_ints(), ht.rows)
-        assert core.dim == len(batch.rbar) - gf2.rank(ht)
-        assert core.dim == k - gf2.rank(gen.matrix.take_rows(batch.r))
+        system = no_runs(ht)
+        assert system.dim == len(batch.rbar) - gf2.rank(ht)
+        assert system.dim == k - gf2.rank(gen.matrix.take_rows(batch.r))
 
 
 class TestCoset:
@@ -51,27 +52,32 @@ class TestCoset:
     @given(st.integers(0, 5), st.integers(0, 6), seed)
     def test_coset_is_the_solution_set(self, checks, unknowns, hseed):
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht.col_ints(), ht.rows)
+        system = no_runs(ht)
         for target in range(1 << checks):
             solutions = {m for m in range(1 << unknowns) if syndrome_of_mask(ht, m) == target}
-            x0 = core.particular(target)
+            x0 = system.particular(target)
             if x0 is None:
                 assert not solutions
             else:
-                coset = core.coset(x0)
-                assert len(coset) == 1 << core.dim
-                assert set(coset) == solutions
+                members = coset(x0, system.kernel)
+                assert len(members) == 1 << system.dim
+                assert set(members) == solutions
 
     @settings(max_examples=100)
     @given(st.integers(0, 12), st.integers(0, 24), seed, st.data())
     def test_syndrome_is_the_xor_of_selected_columns(self, checks, unknowns, hseed, data):
-        # L runs across the byte boundaries 8/9 and 16/17; the empty and
-        # the full mask are always checked.
+        # The scan's syndrome of each candidate is the XOR of the columns
+        # it selects: the mask it answers for the syndrome of a mask m has
+        # that syndrome.  L runs across the byte boundaries 8/9 and 16/17;
+        # the empty and the full mask are always checked.  The cap 2^L
+        # leaves no answer capped.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht.col_ints(), ht.rows)
+        search = no_runs(ht).search(sd.weight_order(unknowns), 1 << unknowns)
         full = (1 << unknowns) - 1
         for m in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=20))]:
-            assert core.syndrome(m) == syndrome_of_mask(ht, m)
+            target = syndrome_of_mask(ht, m)
+            mask, _ = search.find(target)
+            assert mask is not None and syndrome_of_mask(ht, mask) == target
 
     def test_lex_rank_follows_combinations(self):
         positions = (1, 4, 5, 9, 12)
@@ -82,7 +88,7 @@ class TestCoset:
 
 
 class CountingWeightOrder:
-    """Weight order from the oracle, counting the work the core asks of it."""
+    """Weight order from the oracle, counting the work a search asks of it."""
 
     def __init__(self, length):
         self.stream = list(weight_order(length))
@@ -100,7 +106,7 @@ class CountingWeightOrder:
 
 
 class Counting:
-    """A decoder's real candidate order, counting the work the core asks of it."""
+    """A decoder's real candidate order, counting the work a search asks of it."""
 
     def __init__(self, order):
         self.order = order
@@ -117,15 +123,20 @@ class Counting:
         return self.order.first(masks)
 
 
-def assert_within_bound(core, ht, order, stream, targets, query_cap):
+def no_runs(ht):
+    """The syndrome system of ht with an empty s, which has no runs."""
+    return SyndromeSystem(ht=ht, s=BitMatrix.zeros(ht.rows, 0))
+
+
+def assert_within_bound(system, ht, order, stream, targets, query_cap):
     """Every answer equals the first hit of `stream`; at most min(2^d, cap)
     candidates are drawn in all and at most 2^d masks ranked per target."""
-    search = OrderedSearch(core, order, query_cap)
+    search = OrderedSearch(system, order, query_cap)
     for target in targets:
         before = order.ranked
         assert search.find(target) == first_hit(stream, ht, target, query_cap)
-        assert order.ranked - before <= 1 << core.dim
-    assert order.drawn <= min(1 << core.dim, query_cap)
+        assert order.ranked - before <= 1 << system.dim
+    assert order.drawn <= min(1 << system.dim, query_cap)
 
 
 class TestWorkBound:
@@ -134,26 +145,26 @@ class TestWorkBound:
     def test_scan_and_rank_stay_within_bound(self, checks, unknowns, hseed, cap):
         # Every target, reachable or not: the answer matches enumeration,
         # at most min(2^d, cap) candidates are drawn in all and at most
-        # 2^d coset members are ranked per target.  One core serves
+        # 2^d coset members are ranked per target.  One system serves
         # searches with different caps.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        core = SearchCore(ht.col_ints(), ht.rows)
+        system = no_runs(ht)
         for query_cap in (cap, 1 << 20):
             order = CountingWeightOrder(unknowns)
-            search = OrderedSearch(core, order, query_cap)
+            search = OrderedSearch(system, order, query_cap)
             for target in range(1 << checks):
                 before = order.ranked
                 expected = first_hit(weight_order(unknowns), ht, target, query_cap)
                 assert search.find(target) == expected
-                assert order.ranked - before <= 1 << core.dim
-            assert order.drawn <= min(1 << core.dim, query_cap)
+                assert order.ranked - before <= 1 << system.dim
+            assert order.drawn <= min(1 << system.dim, query_cap)
 
     def test_real_orders_at_coset_dimension_14(self):
         # 16 unknowns, 2 independent checks: d = 14.  Every target, with a
         # cap that cuts the scan short and with the default cap.
         ht = random_bit_matrix(1, 2, 16)
-        core = SearchCore(ht.col_ints(), ht.rows)
-        assert core.dim == 14
+        system = no_runs(ht)
+        assert system.dim == 14
         params = ChannelParams(p01=0.1, p10=0.3)
         prior = 0b0000111100110000
         orders = [
@@ -165,7 +176,7 @@ class TestWorkBound:
         ]
         for query_cap in (5, 1 << 20):
             for make, stream in orders:
-                assert_within_bound(core, ht, Counting(make()), stream, range(4), query_cap)
+                assert_within_bound(system, ht, Counting(make()), stream, range(4), query_cap)
 
     def test_rank_step_at_coset_dimension_14(self):
         # 20 unknowns in 6 groups; every unknown of group g hits check g
@@ -177,13 +188,13 @@ class TestWorkBound:
         groups = (4, 4, 3, 3, 3, 3)
         cols = tuple(1 << g for g, size in enumerate(groups) for _ in range(size))
         ht = BitMatrix.trusted(20, 6, cols).transpose()
-        core = SearchCore(ht.col_ints(), ht.rows)
-        assert core.dim == 14
+        system = no_runs(ht)
+        assert system.dim == 14
         stream = list(islice(weight_order(20), 1 << 15))  # holds every first hit here
         params = ChannelParams(p01=0.1, p10=0.3)
         tg_order = tgrand.likelihood_order(0, 20, params.p01, params.p10)
         for order in (Counting(sd.weight_order(20)), Counting(tg_order)):
-            assert_within_bound(core, ht, order, stream, (0, 0b011111, 0b111111), 1 << 20)
+            assert_within_bound(system, ht, order, stream, (0, 0b011111, 0b111111), 1 << 20)
             assert order.drawn == 1 << 14
             assert order.ranked == 1 << 14
 
@@ -204,7 +215,7 @@ class TestSystemSearch:
         with pytest.raises(ValueError, match="query cap must be at least 1"):
             tgrand.tg_solve_column(ht, (1, 0), prior, params, cap)
         with pytest.raises(ValueError, match="query cap must be at least 1"):
-            OrderedSearch(system.core, tgrand.weight_order(3), cap)
+            OrderedSearch(system, tgrand.weight_order(3), cap)
 
     def test_syndrome_rows_must_match_the_checks(self):
         with pytest.raises(ValueError, match="syndrome row count must match"):
@@ -214,7 +225,8 @@ class TestSystemSearch:
         # ht = I_3, so each column's estimate is its target, whatever the
         # order: the estimates 1, 1, 2, 2, 4, 3, 0, 5 take six values.
         # sd looks up its one search once; tgrand looks up one search per
-        # prior the walk meets, 0 and every estimate but the last column's.
+        # prior the walk meets: 0 and every estimate, the last column's
+        # included.
         targets = (1, 1, 2, 2, 4, 3, 0, 5)
         s = BitMatrix.trusted(len(targets), 3, targets).transpose()
         calls = []
@@ -233,7 +245,7 @@ class TestSystemSearch:
             sd.SyndromeSystem(ht=BitMatrix.identity(3), s=s), ChannelParams(p01=0.1, p10=0.3)
         )
         assert res.e_hat.col_ints() == targets
-        assert len(calls) == len({0, *targets[:-1]}) == 5
+        assert len(calls) == len({0, *targets}) == 6
 
     @pytest.mark.parametrize("hseed", range(4))
     @pytest.mark.parametrize("query_cap", [3, 1 << 20])
@@ -257,8 +269,9 @@ class TestSystemSearch:
             assert runs[second](system) == expected[second]
 
     def test_repairs_leave_no_reference_cycle(self):
-        # The system holds its searches and each search holds the core,
-        # never the system, so refcounting alone frees a used system.
+        # The system holds its searches and each search holds the
+        # system's columns, kernel and `particular`, never the system, so
+        # refcounting alone frees a used system.
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -336,19 +349,19 @@ class TestCapAtDriverSizes:
             None,
         )
         assume(system is not None)
-        cols, checks = system.core.cols, system.s.rows
+        cols, checks = system.cols, system.s.rows
         unknowns = len(cols)
         # A trial's targets all lie in the column space of ht.  When ht's
         # rank is short of its rows, plant one target outside it, so the
         # out-of-reach miss is checked too.
-        reach = system.core.particular
+        reach = system.particular
         outside = next((t for t in range(1 << checks) if reach(t) is None), None)
         if outside is not None:
             b = data.draw(st.integers(0, 63), label="planted column")
             rows = [r & ~(1 << b) | (outside >> i & 1) << b for i, r in enumerate(system.s.row_ints)]
             s = BitMatrix.trusted(checks, 64, tuple(rows))
             system = sd.SyndromeSystem.from_columns(cols, s)
-        d = system.core.dim
+        d = system.dim
 
         sd_default = column_hits(sd.sd_repair(system))
         tg_default = column_hits(tgrand.tg_repair(system, params))

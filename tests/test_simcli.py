@@ -86,6 +86,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(**bad)
 
+    def test_list_fields_are_kept_as_tuples(self):
+        # A list was stored as given: the config did not hash, and a later
+        # append got past the N >= K check.
+        n_list, decoders = [4, 5], ["rlc", "sd"]
+        cfg = SimConfig(k=3, n_list=n_list, decoders=decoders)
+        n_list.append(2)
+        decoders.append("bogus")
+        assert cfg.n_list == (4, 5) and cfg.decoders == ("rlc", "sd")
+        assert hash(cfg) == hash(SimConfig(k=3, n_list=(4, 5), decoders=("rlc", "sd")))
+
 
 class TestRunTrial:
     def test_noiseless_always_succeeds(self):
