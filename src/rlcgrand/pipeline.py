@@ -20,6 +20,9 @@ echelon, so no decode eliminates the clean rows twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
+from typing import Sequence
 
 from . import gf2
 from .gf2 import BitMatrix
@@ -35,6 +38,15 @@ class ReceivedBatch:
     truth_x: BitMatrix
     r: tuple[int, ...]
     rbar: tuple[int, ...]
+
+    @classmethod
+    def from_errors(cls, y: BitMatrix, truth_x: BitMatrix, errors: Sequence[int]) -> ReceivedBatch:
+        """The batch whose row i is corrupted (in R̄) exactly when its error
+        row ``errors[i]`` = y_i ⊕ x_i is nonzero, and clean (in R) otherwise."""
+        rows = range(len(errors))
+        rbar = tuple(compress(rows, errors))
+        r = tuple(compress(rows, map(not_, errors)))
+        return cls(y=y, truth_x=truth_x, r=r, rbar=rbar)
 
 
 @dataclass(frozen=True)
@@ -52,12 +64,12 @@ class DecodeOutcome:
 
 
 def classify(y: BitMatrix, truth_x: BitMatrix) -> ReceivedBatch:
-    """Split rows into error-free (R) and erroneous (R̄) by genie comparison."""
+    """Split rows into error-free (R) and erroneous (R̄) by genie comparison:
+    the error rows y_i ⊕ x_i go to `ReceivedBatch.from_errors`."""
     if (y.rows, y.cols) != (truth_x.rows, truth_x.cols):
         raise ValueError("received and truth matrices must have the same shape")
-    r = tuple(i for i in range(y.rows) if y.row_ints[i] == truth_x.row_ints[i])
-    rbar = tuple(i for i in range(y.rows) if y.row_ints[i] != truth_x.row_ints[i])
-    return ReceivedBatch(y=y, truth_x=truth_x, r=r, rbar=rbar)
+    errors = [a ^ b for a, b in zip(y.row_ints, truth_x.row_ints)]
+    return ReceivedBatch.from_errors(y, truth_x, errors)
 
 
 def attempt_rlc(batch: ReceivedBatch, gen: Generator) -> DecodeOutcome:

@@ -130,6 +130,21 @@ def pack_rows(bits: np.ndarray) -> int:
 
 
 def unpack_rows(packed: int, count: int, width: int) -> list[int]:
-    """The first ``count`` rows of ``width`` bits of a ``pack_rows`` int."""
-    mask = (1 << width) - 1
-    return [(packed >> (i * width)) & mask for i in range(count)]
+    """The first ``count`` rows of ``width`` bits of a ``pack_rows`` int.
+
+    Linear in count·width, so a pass may hold any number of rows: the
+    bits are laid out as rows padded to whole 64-bit words, which NumPy
+    packs, and each row's int is assembled from its words.
+    """
+    nbits = count * width
+    data = (packed & ((1 << nbits) - 1)).to_bytes((nbits + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), count=nbits, bitorder="little")
+    words = max(1, -(-width // 64))
+    padded = np.zeros((count, 64 * words), dtype=np.uint8)
+    padded[:, :width] = bits.reshape(count, width)
+    parts = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    rows = parts[:, -1].tolist()
+    for j in range(words - 2, -1, -1):
+        # Shift the higher words up and append word j below them.
+        rows = [r << 64 | w for r, w in zip(rows, parts[:, j].tolist())]
+    return rows

@@ -27,11 +27,15 @@ decoder run first, so the sd and tgrand columns are not standalone
 costs.
 
 Trials run in chunks of _CHUNK per N, serially or on a process pool.  A
-chunk generates its trials in passes of at most _BATCH_BITS channel bits
-(trials × N × B): each pass derives the seeds, draws P, U and the noise,
-and runs the channel scan for all of its trials in a few array
-operations, and its trials are decoded before the next pass is drawn, so
-a chunk never holds more than one pass of generated trials.
+chunk generates its trials in as few passes of at most _BATCH_BITS
+channel bits (trials × N × B) as hold them, with pass sizes differing by
+at most one trial (a trial larger than the budget gets a pass of its
+own).  Each pass derives the seeds, draws P, U and the noise, and runs
+the channel scan for all of its trials in a few array operations whose
+cost is linear in the pass's bits; a row is corrupted exactly when its
+error row from the channel is nonzero.  A pass's trials are decoded
+before the next pass is drawn, so a chunk never holds more than one pass
+of generated trials.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 from . import channel
 from .channel import ChannelParams
 from .gf2 import BitMatrix
-from .pipeline import DecodeOutcome, attempt_rlc, classify, needs_repair, redecode, syndrome_system
+from .pipeline import DecodeOutcome, ReceivedBatch, attempt_rlc, needs_repair, redecode, syndrome_system
 from .rlc import encode, make_generators
 from .rng import derive_seed, derive_seeds, random_rows
 from .search import DEFAULT_QUERY_CAP
@@ -70,9 +74,10 @@ _TAGS = np.array([_TAG_GEN, _TAG_DATA, _TAG_NOISE], dtype=np.uint64)
 
 _CHUNK = 200
 # Channel bits (trials × N × B) drawn per array pass of trial generation.
-# It bounds the pass's temporary arrays, and so the driver's peak memory,
-# while still spreading each NumPy call over several trials.
-_BATCH_BITS = 8192
+# It bounds the pass's temporary arrays (about 1 MB), and so the driver's
+# peak memory.  A pass pays dozens of NumPy calls whatever its size, so a
+# larger pass spreads that fixed cost over more trials: 51 at N = 20, B = 64.
+_BATCH_BITS = 65536
 
 
 @dataclass(frozen=True)
@@ -142,15 +147,18 @@ def _trials(config: SimConfig, n: int, start: int, stop: int):
 
     Trial t's seed is derive_seed(master_seed, N, t), and its generator,
     source data and noise come from that seed's _TAG_* children.  The
-    trials are drawn in passes of at most _BATCH_BITS channel bits, each
-    pass a few array operations over all of its trials, and are yielded
+    span is cut into ⌈span / ⌊_BATCH_BITS / (N·B)⌋⌉ passes (at least one
+    trial per pass) whose sizes differ by at most one, each pass a few
+    array operations over all of its trials, and the trials are yielded
     as each pass completes.
     """
     k, b, params = config.k, config.b, config.channel_params
-    step = max(1, _BATCH_BITS // (n * b))
+    span = stop - start
+    passes = -(-span // max(1, _BATCH_BITS // (n * b)))
     n_seed = derive_seed(config.master_seed, n)
-    for lo in range(start, stop, step):
-        trial_seeds = derive_seeds(n_seed, np.arange(lo, min(lo + step, stop)))
+    for i in range(passes):
+        lo, hi = start + span * i // passes, start + span * (i + 1) // passes
+        trial_seeds = derive_seeds(n_seed, np.arange(lo, hi))
         # One column per substream: generator, source data, noise.
         seeds = derive_seeds(trial_seeds[:, np.newaxis], _TAGS)
         gens = make_generators(k, n, seeds[:, 0])
@@ -159,8 +167,8 @@ def _trials(config: SimConfig, n: int, start: int, stop: int):
             for gen, u in zip(gens, random_rows(seeds[:, 1], k, b))
         ]
         received = channel.apply_batch(params, xs, seeds[:, 2])
-        for gen, x, (y, _) in zip(gens, xs, received):
-            yield gen, classify(y, x)
+        for gen, x, (y, e) in zip(gens, xs, received):
+            yield gen, ReceivedBatch.from_errors(y, x, e.row_ints)
 
 
 def _trial_outcomes(config: SimConfig, gen, batch, decoders: tuple[str, ...]):

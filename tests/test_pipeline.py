@@ -54,10 +54,13 @@ class TestClassify:
     def test_partition_matches_zero_rows_of_e(self, xseed, eseed):
         x = random_bit_matrix(xseed, 5, 7)
         e = random_bit_matrix(eseed, 5, 7)
-        batch = pipeline.classify(gf2.add(x, e), x)
+        y = gf2.add(x, e)
+        batch = pipeline.classify(y, x)
         assert set(batch.r) | set(batch.rbar) == set(range(5))
         assert not set(batch.r) & set(batch.rbar)
         assert batch.r == tuple(i for i in range(5) if e.row_ints[i] == 0)
+        # The driver classifies from the channel's E rows by the same rule.
+        assert pipeline.ReceivedBatch.from_errors(y, x, e.row_ints) == batch
 
 
 class TestAttemptRlc:

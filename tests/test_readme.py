@@ -44,3 +44,8 @@ def test_layout_names_every_module():
     rows = re.findall(r"^  (\S+\.py) ", layout, re.M)
     modules = sorted(p.name for p in (ROOT / "src" / "rlcgrand").glob("*.py"))
     assert sorted(rows) == modules
+
+
+def test_pass_size_is_the_drivers_budget():
+    [figure] = re.findall(r"at most (\d+) channel bits", README.read_text())
+    assert int(figure) == simcli._BATCH_BITS

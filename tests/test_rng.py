@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlcgrand import rng
@@ -96,10 +96,23 @@ def test_seed_array_blocks_match_per_seed_blocks(seed, rows, n):
     assert np.array_equal(rng.bit_block(seeds, n), block >> np.uint64(63))
 
 
-@settings(max_examples=50)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 12), st.integers(0, 70))
-def test_pack_and_unpack_rows_round_trip(seed, count, width):
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1), st.integers(0, 400), st.integers(0, 200), st.integers(0, 2**80)
+)
+@example(seed=5, count=300, width=0, above=2**70 - 1)
+@example(seed=5, count=300, width=1, above=3)
+@example(seed=5, count=300, width=10, above=1)
+@example(seed=5, count=300, width=63, above=2**80)
+@example(seed=5, count=300, width=64, above=2**64 - 1)
+@example(seed=5, count=300, width=65, above=0)
+def test_pack_and_unpack_rows_round_trip(seed, count, width, above):
+    # Rows of one, several and fractional 64-bit words, hundreds of them,
+    # from an int that may hold set bits above the count·width it is read to.
     bits = rng.bit_block(seed, count * width).reshape(count, width)
-    rows = [sum(int(b) << j for j, b in enumerate(row)) for row in bits]
-    assert rng.unpack_rows(rng.pack_rows(bits), count, width) == rows
+    rows = [int("".join(map(str, row[::-1])) or "0", 2) for row in bits]
+    packed = rng.pack_rows(bits)
+    assert rng.unpack_rows(packed, count, width) == rows
     assert rng.unpack_rows(rng.pack_rows(bits.astype(bool)), count, width) == rows
+    assert rng.unpack_rows(packed | above << count * width, count, width) == rows
+    assert rng.unpack_rows(packed, count // 2, width) == rows[: count // 2]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlcgrand import simcli
+from rlcgrand import channel, simcli
 from rlcgrand.channel import ChannelParams
 from rlcgrand.rng import SplitMix64, derive_seed
 from rlcgrand.simcli import CSV_HEADER, SimConfig, SimRecord, emit_csv, run_experiment, run_trial
@@ -173,6 +173,19 @@ def noise_draws(cfg, n, t, row, count):
     return [next_float(stream) for _ in range(count)]
 
 
+def pass_sizes(monkeypatch):
+    """The trial count of each generation pass from here on, in order."""
+    sizes = []
+    apply_batch = channel.apply_batch
+
+    def recording(params, xs, seeds):
+        sizes.append(len(xs))
+        return apply_batch(params, xs, seeds)
+
+    monkeypatch.setattr(channel, "apply_batch", recording)
+    return sizes
+
+
 def assert_span_matches_contract(cfg, n, start, stop):
     p = cfg.channel_params
     tags = (simcli._TAG_GEN, simcli._TAG_DATA, simcli._TAG_NOISE)
@@ -201,16 +214,47 @@ class TestTrials:
         cfg = channel_config(k, n, b, p01=0.08, p10=0.4)
         assert_span_matches_contract(cfg, n, 5, 12)
 
-    def test_default_budget_span_crosses_a_pass(self):
-        k, n, b = 4, 9, 65
+    def test_default_budget_span_crosses_a_pass(self, monkeypatch):
+        # Packets of 17 words, few enough trials per pass that a short span
+        # at the module budget takes two passes.
+        k, n, b = 4, 9, 1025
         per_pass = simcli._BATCH_BITS // (n * b)
+        start, stop = 3, 3 + per_pass + 3
+        assert 1 <= per_pass < stop - start
+        sizes = pass_sizes(monkeypatch)
         cfg = channel_config(k, n, b, p01=0.05, p10=0.3)
-        assert_span_matches_contract(cfg, n, per_pass - 2, per_pass + 3)
+        assert_span_matches_contract(cfg, n, start, stop)
+        assert len(sizes) == 2
+
+    @pytest.mark.parametrize(
+        "n, b, budget, span",
+        [
+            (3, 1, 5, 4),  # ceil(span·N·B / budget) = 3 passes would hold 2, 1, 1 trials: 6 bits
+            (3, 1, 6, 5),
+            (4, 8, 100, 7),
+            (4, 8, 96, 7),
+            (5, 13, 64, 3),  # one trial is larger than the budget
+            (6, 2, 1000, 9),
+            (6, 2, 37, 40),
+        ],
+    )
+    def test_passes_are_equal_and_within_the_budget(self, monkeypatch, n, b, budget, span):
+        monkeypatch.setattr(simcli, "_BATCH_BITS", budget)
+        sizes = pass_sizes(monkeypatch)
+        cfg = channel_config(2, n, b, p01=0.1, p10=0.5)
+        assert len(list(simcli._trials(cfg, n, 11, 11 + span))) == span
+        per_pass = max(1, budget // (n * b))
+        assert len(sizes) == -(-span // per_pass)
+        assert sum(sizes) == span
+        assert max(sizes) - min(sizes) <= 1
+        if n * b <= budget:
+            assert max(sizes) * n * b <= budget
 
     def test_one_trial(self):
         cfg = channel_config(2, 5, 64, p01=0.1, p10=0.5)
         assert_span_matches_contract(cfg, 5, 0, 1)
         assert_span_matches_contract(cfg, 5, 41, 42)
+        assert_span_matches_contract(cfg, 5, 41, 41)  # an empty span has no pass
 
     def test_no_parity_rows(self):
         # N == K: P has no rows and G is the identity.
