@@ -75,13 +75,25 @@ _UGAMMA = np.uint64(GAMMA)
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    """``mix64`` elementwise on a uint64 array (a new array; z is not modified)."""
-    z = z ^ (z >> _U30)
-    z *= _UMUL1
-    z ^= z >> _U27
-    z *= _UMUL2
-    z ^= z >> _U31
-    return z
+    """``mix64`` elementwise on a uint64 array that the caller no longer
+    needs: the result may overwrite it.
+
+    The entries are mixed in place, _MIX_BLOCK at a time, so however large
+    z is, the one other array alive is a block's shift.
+    """
+    flat = z.reshape(-1)
+    for lo in range(0, flat.size, _MIX_BLOCK):
+        block = flat[lo:lo + _MIX_BLOCK]
+        block ^= block >> _U30
+        block *= _UMUL1
+        block ^= block >> _U27
+        block *= _UMUL2
+        block ^= block >> _U31
+    return flat.reshape(z.shape)
+
+
+# Entries (8 bytes each) that the mix of a large array takes per step.
+_MIX_BLOCK = 16384
 
 
 def derive_seeds(seeds: int | np.ndarray, labels: int | np.ndarray) -> np.ndarray:
@@ -102,7 +114,9 @@ def uint64_block(seed: int | np.ndarray, n: int) -> np.ndarray:
 
 def bit_block(seed: int | np.ndarray, n: int) -> np.ndarray:
     """First n random bits (top bit of each output), as uint8."""
-    return (uint64_block(seed, n) >> np.uint64(63)).astype(np.uint8)
+    block = uint64_block(seed, n)
+    block >>= np.uint64(63)
+    return block.astype(np.uint8)
 
 
 def random_bit_matrix(seed: int, rows: int, cols: int) -> BitMatrix:

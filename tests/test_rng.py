@@ -23,6 +23,23 @@ def test_scalar_and_block_streams_agree():
     assert rng.uint64_block(seed, 64).tolist() == scalar
 
 
+@pytest.mark.parametrize("block", (1, 5, 16, None))
+def test_mix_in_blocks_matches_the_scalar_stream(monkeypatch, block):
+    # The vector mix works in place, a block at a time: every block size
+    # gives the scalar stream, across block edges and a partial last block.
+    # None keeps the module's block, which 3 rows of n outputs overrun.
+    if block is not None:
+        monkeypatch.setattr(rng, "_MIX_BLOCK", block)
+    n = 7 if block is not None else rng._MIX_BLOCK // 2 + 3
+    seeds = np.array([3, 2**64 - 1, 12345], dtype=np.uint64)
+    for s, row in zip(seeds.tolist(), rng.uint64_block(seeds, n).tolist()):
+        stream = rng.SplitMix64(s)
+        assert row == [stream.next_uint64() for _ in range(n)]
+    assert rng.derive_seeds(seeds[:, np.newaxis], np.arange(13)).tolist() == [
+        [rng.derive_seed(s, i) for i in range(13)] for s in seeds.tolist()
+    ]
+
+
 def test_bits_and_floats_derive_from_the_same_stream():
     seed = 5
     stream = rng.SplitMix64(seed)

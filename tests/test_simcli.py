@@ -229,7 +229,7 @@ class TestTrials:
     @pytest.mark.parametrize(
         "n, b, budget, span",
         [
-            (3, 1, 5, 4),  # ceil(span·N·B / budget) = 3 passes would hold 2, 1, 1 trials: 6 bits
+            (3, 1, 5, 4),  # ceil(span·N·B / budget) = 3 passes: one holds 2 trials, 6 bits
             (3, 1, 6, 5),
             (4, 8, 100, 7),
             (4, 8, 96, 7),
