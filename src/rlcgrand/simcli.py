@@ -26,16 +26,17 @@ sd and tgrand share (`SyndromeSystem.search`) is charged only to the
 decoder run first, so the sd and tgrand columns are not standalone
 costs.
 
-Trials run in chunks of _CHUNK per N, serially or on a process pool.  A
-chunk generates its trials in as few passes of at most _BATCH_BITS
-channel bits (trials × N × B) as hold them, with pass sizes differing by
-at most one trial (a trial larger than the budget gets a pass of its
-own).  Each pass derives the seeds, draws P, U and the noise, and runs
+Each N's trials are cut into passes: as few spans of at most _BATCH_BITS
+channel bits (trials × N × B) as hold them, with sizes differing by at
+most one trial (a trial larger than the budget gets a pass of its own).
+A pass is the driver's one unit of work, run in turn or as one task on a
+process pool.  It derives the seeds, draws P, U and the noise, and runs
 the channel scan for all of its trials in a few array operations whose
 cost is linear in the pass's bits; a row is corrupted exactly when its
-error row from the channel is nonzero.  A pass's trials are decoded
-before the next pass is drawn, so a chunk never holds more than one pass
-of generated trials.
+error row from the channel is nonzero.  It then decodes its trials and
+returns each trial's outcome per decoder, which `run_experiment` adds
+into the (decoder, N) cells in one loop.  A process never holds more than
+one pass of generated trials.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ _TAG_DATA = 2
 _TAG_NOISE = 3
 _TAGS = np.array([_TAG_GEN, _TAG_DATA, _TAG_NOISE], dtype=np.uint64)
 
-_CHUNK = 200
 # Channel bits (trials × N × B) drawn per array pass of trial generation.
 # It bounds the pass's temporary arrays (about 1 MB), and so the driver's
 # peak memory.  A pass pays dozens of NumPy calls whatever its size, so a
@@ -146,29 +146,22 @@ def _trials(config: SimConfig, n: int, start: int, stop: int):
     """Yield the (G, batch) of each trial in [start, stop), in order.
 
     Trial t's seed is derive_seed(master_seed, N, t), and its generator,
-    source data and noise come from that seed's _TAG_* children.  The
-    span is cut into ⌈span / ⌊_BATCH_BITS / (N·B)⌋⌉ passes (at least one
-    trial per pass) whose sizes differ by at most one, each pass a few
-    array operations over all of its trials, and the trials are yielded
-    as each pass completes.
+    source data and noise come from that seed's _TAG_* children.  The span
+    is drawn as one pass, a few array operations over all of its trials;
+    `run_experiment` keeps a pass within _BATCH_BITS.
     """
     k, b, params = config.k, config.b, config.channel_params
-    span = stop - start
-    passes = -(-span // max(1, _BATCH_BITS // (n * b)))
-    n_seed = derive_seed(config.master_seed, n)
-    for i in range(passes):
-        lo, hi = start + span * i // passes, start + span * (i + 1) // passes
-        trial_seeds = derive_seeds(n_seed, np.arange(lo, hi))
-        # One column per substream: generator, source data, noise.
-        seeds = derive_seeds(trial_seeds[:, np.newaxis], _TAGS)
-        gens = make_generators(k, n, seeds[:, 0])
-        xs = [
-            encode(gen, BitMatrix.trusted(k, b, u))
-            for gen, u in zip(gens, random_rows(seeds[:, 1], k, b))
-        ]
-        received = channel.apply_batch(params, xs, seeds[:, 2])
-        for gen, x, (y, e) in zip(gens, xs, received):
-            yield gen, ReceivedBatch.from_errors(y, x, e.row_ints)
+    trial_seeds = derive_seeds(derive_seed(config.master_seed, n), np.arange(start, stop))
+    # One column per substream: generator, source data, noise.
+    seeds = derive_seeds(trial_seeds[:, np.newaxis], _TAGS)
+    gens = make_generators(k, n, seeds[:, 0])
+    xs = [
+        encode(gen, BitMatrix.trusted(k, b, u))
+        for gen, u in zip(gens, random_rows(seeds[:, 1], k, b))
+    ]
+    received = channel.apply_batch(params, xs, seeds[:, 2])
+    for gen, x, (y, e) in zip(gens, xs, received):
+        yield gen, ReceivedBatch.from_errors(y, x, e.row_ints)
 
 
 def _trial_outcomes(config: SimConfig, gen, batch, decoders: tuple[str, ...]):
@@ -207,35 +200,33 @@ def run_trial(config: SimConfig, n: int, decoder: str, trial_index: int) -> Deco
     return out
 
 
-def _run_chunk(config: SimConfig, n: int, start: int, stop: int):
-    """(successes, queries, seconds) sums over a trial range, keyed by (decoder, N)."""
-    sums = {(d, n): [0, 0, 0.0] for d in config.decoders}
-    for gen, batch in _trials(config, n, start, stop):
-        for d, out, seconds in _trial_outcomes(config, gen, batch, config.decoders):
-            cell = sums[d, n]
-            cell[0] += 1 if out.success else 0
-            cell[1] += out.queries_total
-            cell[2] += seconds
-    return sums
+def _run_pass(config: SimConfig, n: int, start: int, stop: int):
+    """(decoder, success, queries, seconds) of every decoder on every trial in [start, stop)."""
+    return [
+        (d, out.success, out.queries_total, seconds)
+        for gen, batch in _trials(config, n, start, stop)
+        for d, out, seconds in _trial_outcomes(config, gen, batch, config.decoders)
+    ]
 
 
 def _worker_count(requested: int, spans: int, cpus: int | None) -> int:
-    """Processes worth starting: no more than the CPUs or the chunks of work."""
+    """Processes worth starting: no more than the CPUs or the passes."""
     return max(1, min(requested, cpus or 1, spans))
 
 
 def run_experiment(config: SimConfig) -> list[SimRecord]:
     """Run the full (decoder × N) grid; one SimRecord per cell.
 
-    Trials are split into chunks and may run on a process pool of at most
-    ``_worker_count`` processes; sums are commutative, so records are
-    identical for any worker count.
+    Each N's trials are cut into passes as the module docstring describes.
+    Each pass is one task, run in turn or on a process pool of at most
+    ``_worker_count`` processes, and this function's loop is the one place
+    where trial outcomes are added into the cells.  Sums are commutative,
+    so records are identical for any worker count.
     """
-    spans = [
-        (n, start, min(start + _CHUNK, config.trials))
-        for n in config.n_list
-        for start in range(0, config.trials, _CHUNK)
-    ]
+    t, spans = config.trials, []
+    for n in config.n_list:
+        passes = -(-t // max(1, _BATCH_BITS // (n * config.b)))
+        spans += [(n, t * i // passes, t * (i + 1) // passes) for i in range(passes)]
     columns = list(zip(*spans))
     workers = _worker_count(config.workers, len(spans), os.cpu_count())
     # The records come out in this order: DECODERS order, then ascending N.
@@ -243,12 +234,13 @@ def run_experiment(config: SimConfig) -> list[SimRecord]:
         (d, n): [0, 0, 0.0] for d in DECODERS if d in config.decoders for n in sorted(config.n_list)
     }
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for sums in (pool.map if pool else map)(_run_chunk, repeat(config), *columns):
-            for key, (succ, q, w) in sums.items():
-                cell = totals[key]
-                cell[0] += succ
-                cell[1] += q
-                cell[2] += w
+        results = (pool.map if pool else map)(_run_pass, repeat(config), *columns)
+        for n, outcomes in zip(columns[0], results):
+            for d, success, queries, seconds in outcomes:
+                cell = totals[d, n]
+                cell[0] += success
+                cell[1] += queries
+                cell[2] += seconds
     return [
         SimRecord(
             decoder=d,

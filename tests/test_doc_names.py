@@ -1,5 +1,5 @@
-"""Every backticked name in the package source and the README that names
-package code resolves.
+"""Every backticked name in the package source, the scripts, the test
+oracles and the README that names package code resolves.
 
 A dotted name such as `gf2.Echelon` or `SyndromeSystem.search` in a
 docstring, a comment or the README, whose head is a package module or a
@@ -18,7 +18,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rlcgrand"
-SOURCES = [*sorted(PACKAGE.glob("*.py")), ROOT / "README.md"]
+SOURCES = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted((ROOT / "scripts").glob("*.py")),
+    ROOT / "tests" / "oracles.py",
+    ROOT / "README.md",
+]
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
 BARE = re.compile(r"`([A-Z](?:[a-z]\w*|[A-Z0-9]+(?:_[A-Z0-9]+)*))`")
 
@@ -76,9 +81,12 @@ def test_bare_doc_names_resolve():
 
 
 def test_a_stale_name_is_caught():
-    # The names the benchmark's notes kept after their functions went,
-    # and a class folded into another.
+    # The names the benchmark's notes kept after their functions went, a
+    # class folded into another, and the driver's chunk that became a pass.
     assert not resolves("simcli._trial_batch")
+    assert not resolves("simcli._run_chunk")
+    assert not resolves("simcli._CHUNK")
+    assert resolves("simcli._run_pass")
     assert not resolves("pipeline.repair_and_redecode")
     assert not resolves("SearchCore")
     assert BARE.findall("`SearchCore`, ``MEMO_MASKS``, `G_R`, `s`") == ["SearchCore", "MEMO_MASKS"]

@@ -174,16 +174,30 @@ def noise_draws(cfg, n, t, row, count):
 
 
 def pass_sizes(monkeypatch):
-    """The trial count of each generation pass from here on, in order."""
-    sizes = []
+    """The trial count of each generation pass from here on, in order, per N."""
+    sizes = {}
     apply_batch = channel.apply_batch
 
     def recording(params, xs, seeds):
-        sizes.append(len(xs))
+        if xs:
+            sizes.setdefault(xs[0].rows, []).append(len(xs))
         return apply_batch(params, xs, seeds)
 
     monkeypatch.setattr(channel, "apply_batch", recording)
     return sizes
+
+
+def assert_passes_split_the_trials(sizes, cfg, budget):
+    """Each N's trials ran in ⌈T / per⌉ passes whose sizes differ by at
+    most one, each within the budget whenever one trial fits in it."""
+    assert sorted(sizes) == sorted(cfg.n_list)
+    for n, got in sizes.items():
+        per_pass = max(1, budget // (n * cfg.b))
+        assert len(got) == -(-cfg.trials // per_pass), n
+        assert sum(got) == cfg.trials, n
+        assert max(got) - min(got) <= 1, n
+        if n * cfg.b <= budget:
+            assert max(got) * n * cfg.b <= budget, n
 
 
 def assert_span_matches_contract(cfg, n, start, stop):
@@ -201,35 +215,36 @@ def assert_span_matches_contract(cfg, n, start, stop):
 
 
 class TestTrials:
-    """Chunk generation against the scalar stream contract (tests/oracles.py)."""
+    """Pass generation against the scalar stream contract (tests/oracles.py),
+    and `run_experiment`'s split of each N's trials into passes."""
 
     @pytest.mark.parametrize("b", (1, 7, 8, 63, 64, 65, 129))
     @pytest.mark.parametrize("trials_per_pass", (1, 3, None))
-    def test_spans_match_scalar_contract(self, monkeypatch, b, trials_per_pass):
-        # A span from a nonzero start; with 1 or 3 trials per pass it
-        # crosses pass boundaries, with None it runs at the module budget.
-        k, n = 3, 7
-        if trials_per_pass is not None:
-            monkeypatch.setattr(simcli, "_BATCH_BITS", trials_per_pass * n * b)
+    def test_spans_match_scalar_contract(self, b, trials_per_pass):
+        # Trials 5..11 drawn in passes of 1 or 3 trials, as `run_experiment`
+        # cuts them under a small budget, or (None) in one pass.
+        k, n, start, stop = 3, 7, 5, 12
         cfg = channel_config(k, n, b, p01=0.08, p10=0.4)
-        assert_span_matches_contract(cfg, n, 5, 12)
+        step = trials_per_pass or stop - start
+        for lo in range(start, stop, step):
+            assert_span_matches_contract(cfg, n, lo, min(lo + step, stop))
 
     def test_default_budget_span_crosses_a_pass(self, monkeypatch):
-        # Packets of 17 words, few enough trials per pass that a short span
-        # at the module budget takes two passes.
-        k, n, b = 4, 9, 1025
-        per_pass = simcli._BATCH_BITS // (n * b)
-        start, stop = 3, 3 + per_pass + 3
-        assert 1 <= per_pass < stop - start
+        # Packets of 17 words, few enough trials per pass that a short run
+        # at the module budget takes two passes per N.
+        k, b = 4, 1025
+        per_pass = simcli._BATCH_BITS // (9 * b)
+        cfg = SimConfig(k=k, n_list=(9, 5), b=b, eps=0.05, trials=per_pass + 3)
+        assert 1 <= per_pass < cfg.trials
         sizes = pass_sizes(monkeypatch)
-        cfg = channel_config(k, n, b, p01=0.05, p10=0.3)
-        assert_span_matches_contract(cfg, n, start, stop)
-        assert len(sizes) == 2
+        run_experiment(cfg)
+        assert len(sizes[9]) == 2
+        assert_passes_split_the_trials(sizes, cfg, simcli._BATCH_BITS)
 
     @pytest.mark.parametrize(
-        "n, b, budget, span",
+        "n, b, budget, trials",
         [
-            (3, 1, 5, 4),  # ceil(span·N·B / budget) = 3 passes: one holds 2 trials, 6 bits
+            (3, 1, 5, 4),  # ceil(T·N·B / budget) = 3 passes: one holds 2 trials, 6 bits
             (3, 1, 6, 5),
             (4, 8, 100, 7),
             (4, 8, 96, 7),
@@ -238,17 +253,13 @@ class TestTrials:
             (6, 2, 37, 40),
         ],
     )
-    def test_passes_are_equal_and_within_the_budget(self, monkeypatch, n, b, budget, span):
+    def test_passes_are_equal_and_within_the_budget(self, monkeypatch, n, b, budget, trials):
+        # A second, larger N runs fewer trials per pass under the same budget.
         monkeypatch.setattr(simcli, "_BATCH_BITS", budget)
         sizes = pass_sizes(monkeypatch)
-        cfg = channel_config(2, n, b, p01=0.1, p10=0.5)
-        assert len(list(simcli._trials(cfg, n, 11, 11 + span))) == span
-        per_pass = max(1, budget // (n * b))
-        assert len(sizes) == -(-span // per_pass)
-        assert sum(sizes) == span
-        assert max(sizes) - min(sizes) <= 1
-        if n * b <= budget:
-            assert max(sizes) * n * b <= budget
+        cfg = SimConfig(k=2, n_list=(n, n + 3), b=b, eps=0.1, trials=trials)
+        run_experiment(cfg)
+        assert_passes_split_the_trials(sizes, cfg, budget)
 
     def test_one_trial(self):
         cfg = channel_config(2, 5, 64, p01=0.1, p10=0.5)
@@ -332,13 +343,22 @@ class TestRunExperiment:
         ]
         assert strip(one) == strip(two)
 
-    def test_records_are_sums_of_run_trial(self):
-        # run_experiment and run_trial share one dispatch; their totals agree.
+    def test_records_are_sums_of_run_trial(self, monkeypatch):
+        # run_experiment and run_trial share one dispatch; their totals agree
+        # when a record is one pass (the module budget) and when it sums
+        # many passes, at a budget of 1 or 3 trials per pass at the larger N.
         cfg = small_config(trials=30)
-        for r in run_experiment(cfg):
-            outs = [run_trial(cfg, r.n, r.decoder, t) for t in range(cfg.trials)]
-            assert r.successes == sum(1 for o in outs if o.success), (r.decoder, r.n)
-            assert r.mean_queries == sum(o.queries_total for o in outs) / cfg.trials
+        outs = {
+            (d, n): [run_trial(cfg, n, d, t) for t in range(cfg.trials)]
+            for d in cfg.decoders
+            for n in cfg.n_list
+        }
+        for budget in (simcli._BATCH_BITS, 1 * 6 * cfg.b, 3 * 6 * cfg.b):
+            monkeypatch.setattr(simcli, "_BATCH_BITS", budget)
+            for r in run_experiment(cfg):
+                cell = outs[r.decoder, r.n]
+                assert r.successes == sum(1 for o in cell if o.success), (budget, r.decoder, r.n)
+                assert r.mean_queries == sum(o.queries_total for o in cell) / cfg.trials, budget
 
     def test_worker_count_is_clamped(self):
         assert simcli._worker_count(5000, spans=40, cpus=2) == 2
@@ -348,7 +368,8 @@ class TestRunExperiment:
 
     def test_pool_gets_the_clamped_size(self, monkeypatch):
         # A stand-in pool records its size and runs in-process, so no
-        # worker process is started however many are requested.
+        # worker process is started however many are requested.  It also
+        # checks that the passes it is handed tile each N's [0, trials).
         sizes = []
 
         class InlinePool:
@@ -361,15 +382,31 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, configs, ns, starts, stops):
+                spans = {}
+                for n, start, stop in zip(ns, starts, stops):
+                    spans.setdefault(n, []).append((start, stop))
+                for n, ranges in spans.items():
+                    ranges.sort()
+                    assert ranges[0][0] == 0 and ranges[-1][1] == cfg.trials, n
+                    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])), n
+                    assert all(start < stop for start, stop in ranges), n
+                assert sorted(spans) == sorted(cfg.n_list)
+                return map(fn, configs, ns, starts, stops)
 
         monkeypatch.setattr(simcli, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(simcli.os, "cpu_count", lambda: 4)
         strip = lambda rs: [(r.decoder, r.n, r.successes, r.mean_queries) for r in rs]
-        many = run_experiment(small_config(trials=5, workers=5000))
-        assert sizes == [2]  # two spans, one per N
+        cfg = small_config(trials=5, workers=5000)
+        many = run_experiment(cfg)
+        assert sizes == [2]  # two passes, one per N
         assert strip(many) == strip(run_experiment(small_config(trials=5)))
+        # Three trials per pass at N = 6 and four at N = 4: 6 + 5 passes,
+        # so the pool gets all four CPUs.
+        monkeypatch.setattr(simcli, "_BATCH_BITS", 3 * 6 * cfg.b)
+        cfg = small_config(trials=17, workers=5000)
+        run_experiment(cfg)
+        assert sizes == [2, 4]
 
     def test_success_counts_monotone_in_n(self):
         cfg = small_config(n_list=(3, 5, 7), trials=150)
