@@ -179,8 +179,7 @@ def pass_sizes(monkeypatch):
     apply_batch = channel.apply_batch
 
     def recording(params, xs, seeds):
-        if xs:
-            sizes.setdefault(xs[0].rows, []).append(len(xs))
+        sizes.setdefault(xs[0].rows, []).append(len(xs))
         return apply_batch(params, xs, seeds)
 
     monkeypatch.setattr(channel, "apply_batch", recording)
@@ -353,7 +352,8 @@ class TestRunExperiment:
             for d in cfg.decoders
             for n in cfg.n_list
         }
-        for budget in (simcli._BATCH_BITS, 1 * 6 * cfg.b, 3 * 6 * cfg.b):
+        bits = max(cfg.n_list) * cfg.b
+        for budget in (simcli._BATCH_BITS, 1 * bits, 3 * bits):
             monkeypatch.setattr(simcli, "_BATCH_BITS", budget)
             for r in run_experiment(cfg):
                 cell = outs[r.decoder, r.n]
