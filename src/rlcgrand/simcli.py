@@ -27,16 +27,15 @@ decoder run first, so the sd and tgrand columns are not standalone
 costs.
 
 Each N's trials are cut into passes: as few spans of at most _BATCH_BITS
-channel bits (trials × N × B) as hold them, with sizes differing by at
-most one trial (a trial larger than the budget gets a pass of its own).
-A pass is the driver's one unit of work, run in turn or as one task on a
-process pool.  It derives the seeds, draws P, U and the noise, and runs
-the channel scan for all of its trials in a few array operations whose
-cost is linear in the pass's bits; a row is corrupted exactly when its
-error row from the channel is nonzero.  It then decodes its trials and
-returns each trial's outcome per decoder, which `run_experiment` adds
-into the (decoder, N) cells in one loop.  A process never holds more than
-one pass of generated trials.
+channel bits (trials × N × B) as hold them, sizes differing by at most one
+trial (a trial larger than the budget gets a pass of its own).  A pass is
+the driver's one unit of work, run in turn or as a task on a process pool.
+It derives the seeds, draws P, U and the noise, and runs the channel scan
+for all of its trials in a few array operations whose cost is linear in
+its bits; a row is corrupted exactly when its error row from the channel
+is nonzero.  It then decodes its trials and returns each one's outcome per
+decoder, which `run_experiment` adds into the (decoder, N) cells in one
+loop.  A process holds at most one pass of generated trials.
 """
 
 from __future__ import annotations
@@ -45,11 +44,10 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, as_completed, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -201,8 +199,8 @@ def run_trial(config: SimConfig, n: int, decoder: str, trial_index: int) -> Deco
 
 
 def _run_pass(config: SimConfig, n: int, start: int, stop: int):
-    """(decoder, success, queries, seconds) of every decoder on every trial in [start, stop)."""
-    return [
+    """N, and (decoder, success, queries, seconds) of every decoder on every trial in [start, stop)."""
+    return n, [
         (d, out.success, out.queries_total, seconds)
         for gen, batch in _trials(config, n, start, stop)
         for d, out, seconds in _trial_outcomes(config, gen, batch, config.decoders)
@@ -214,28 +212,37 @@ def _worker_count(requested: int, spans: int, cpus: int | None) -> int:
     return max(1, min(requested, cpus or 1, spans))
 
 
+def _as_done(pool, config: SimConfig, spans, window: int):
+    """`_run_pass` of each span on ``pool``, as each finishes; at most ``window`` are out at once."""
+    pending = set()
+    for span in spans:
+        if len(pending) == window:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            yield from (future.result() for future in done)
+        pending.add(pool.submit(_run_pass, config, *span))
+    yield from (future.result() for future in as_completed(pending))
+
+
 def run_experiment(config: SimConfig) -> list[SimRecord]:
     """Run the full (decoder × N) grid; one SimRecord per cell.
 
-    Each N's trials are cut into passes as the module docstring describes.
-    Each pass is one task, run in turn or on a process pool of at most
-    ``_worker_count`` processes, and this function's loop is the one place
-    where trial outcomes are added into the cells.  Sums are commutative,
-    so records are identical for any worker count.
+    Each pass (see the module docstring) is one task, run in turn or on a
+    pool of at most ``_worker_count`` processes with one pass running and
+    one queued per worker.  This loop is the one place where outcomes are
+    added into the cells; sums are commutative, so records are identical
+    for any worker count.
     """
-    t, spans = config.trials, []
-    for n in config.n_list:
-        passes = -(-t // max(1, _BATCH_BITS // (n * config.b)))
-        spans += [(n, t * i // passes, t * (i + 1) // passes) for i in range(passes)]
-    columns = list(zip(*spans))
-    workers = _worker_count(config.workers, len(spans), os.cpu_count())
+    t = config.trials
+    passes = {n: -(-t // max(1, _BATCH_BITS // (n * config.b))) for n in config.n_list}
+    spans = ((n, t * i // p, t * (i + 1) // p) for n, p in passes.items() for i in range(p))
+    workers = _worker_count(config.workers, sum(passes.values()), os.cpu_count())
     # The records come out in this order: DECODERS order, then ascending N.
     totals: dict[tuple[str, int], list] = {
         (d, n): [0, 0, 0.0] for d in DECODERS if d in config.decoders for n in sorted(config.n_list)
     }
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(_run_pass, repeat(config), *columns)
-        for n, outcomes in zip(columns[0], results):
+        serial = (_run_pass(config, *span) for span in spans)
+        for n, outcomes in _as_done(pool, config, spans, 2 * workers) if pool else serial:
             for d, success, queries, seconds in outcomes:
                 cell = totals[d, n]
                 cell[0] += success

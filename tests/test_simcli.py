@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import threading
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -155,13 +156,13 @@ class TestRunTrial:
             assert json.loads(json.dumps(script.trace_case(config, n, t))) == fixture[name], name
 
 
-def channel_config(k, n, b, p01, p10, master_seed=3):
+def channel_config(k, n, b, p01, p10, master_seed=3, trials=1):
     """A one-N config whose channel is (p01, p10) exactly.
 
     SimConfig derives its channel from (eps, burst length); a test that
     needs a threshold on an exact value sets the parameters directly.
     """
-    cfg = SimConfig(k=k, n_list=(n,), b=b, trials=1, master_seed=master_seed)
+    cfg = SimConfig(k=k, n_list=(n,), b=b, trials=trials, master_seed=master_seed)
     object.__setattr__(cfg, "channel_params", ChannelParams(p01=p01, p10=p10))
     return cfg
 
@@ -184,6 +185,19 @@ def pass_sizes(monkeypatch):
 
     monkeypatch.setattr(channel, "apply_batch", recording)
     return sizes
+
+
+def drawn_spans(monkeypatch):
+    """The (N, start, stop) of each span `_trials` draws from here on, in order."""
+    spans = []
+    trials = simcli._trials
+
+    def recording(config, n, start, stop):
+        spans.append((n, start, stop))
+        return trials(config, n, start, stop)
+
+    monkeypatch.setattr(simcli, "_trials", recording)
+    return spans
 
 
 def assert_passes_split_the_trials(sizes, cfg, budget):
@@ -217,28 +231,42 @@ class TestTrials:
     """Pass generation against the scalar stream contract (tests/oracles.py),
     and `run_experiment`'s split of each N's trials into passes."""
 
-    @pytest.mark.parametrize("b", (1, 7, 8, 63, 64, 65, 129))
+    @pytest.mark.parametrize("b", (1, 7, 8, 63, 64, 65, 129, 1025))
     @pytest.mark.parametrize("trials_per_pass", (1, 3, None))
-    def test_spans_match_scalar_contract(self, b, trials_per_pass):
-        # Trials 5..11 drawn in passes of 1 or 3 trials, as `run_experiment`
-        # cuts them under a small budget, or (None) in one pass.
-        k, n, start, stop = 3, 7, 5, 12
-        cfg = channel_config(k, n, b, p01=0.08, p10=0.4)
-        step = trials_per_pass or stop - start
-        for lo in range(start, stop, step):
-            assert_span_matches_contract(cfg, n, lo, min(lo + step, stop))
+    def test_spans_match_scalar_contract(self, monkeypatch, b, trials_per_pass):
+        # (None) trials 5..11 drawn as one span.  (1, 3) the passes that
+        # `run_experiment` cuts from trials 0..6 under a budget of that many
+        # trials per pass, each checked as the driver draws it.
+        k, n = 3, 7
+        cfg = channel_config(k, n, b, p01=0.08, p10=0.4, trials=7)
+        if trials_per_pass is None:
+            assert_span_matches_contract(cfg, n, 5, 12)
+            return
+        monkeypatch.setattr(simcli, "_BATCH_BITS", trials_per_pass * n * b)
+        spans = drawn_spans(monkeypatch)
+        run_experiment(cfg)
+        cut = list(spans)
+        assert len(cut) == -(-cfg.trials // trials_per_pass)
+        assert [start for _, start, _ in cut[1:]] == [stop for _, _, stop in cut[:-1]]
+        assert cut[0][1] == 0 and cut[-1][2] == cfg.trials
+        for _, start, stop in cut:
+            assert_span_matches_contract(cfg, n, start, stop)
 
     def test_default_budget_span_crosses_a_pass(self, monkeypatch):
         # Packets of 17 words, few enough trials per pass that a short run
-        # at the module budget takes two passes per N.
+        # at the module budget takes two passes at N = 9.  Every pass is
+        # checked against the contract as the driver draws it.
         k, b = 4, 1025
         per_pass = simcli._BATCH_BITS // (9 * b)
         cfg = SimConfig(k=k, n_list=(9, 5), b=b, eps=0.05, trials=per_pass + 3)
         assert 1 <= per_pass < cfg.trials
         sizes = pass_sizes(monkeypatch)
+        spans = drawn_spans(monkeypatch)
         run_experiment(cfg)
         assert len(sizes[9]) == 2
         assert_passes_split_the_trials(sizes, cfg, simcli._BATCH_BITS)
+        for n, start, stop in list(spans):
+            assert_span_matches_contract(cfg, n, start, stop)
 
     @pytest.mark.parametrize(
         "n, b, budget, trials",
@@ -369,8 +397,14 @@ class TestRunExperiment:
     def test_pool_gets_the_clamped_size(self, monkeypatch):
         # A stand-in pool records its size and runs in-process, so no
         # worker process is started however many are requested.  It also
-        # checks that the passes it is handed tile each N's [0, trials).
-        sizes = []
+        # checks that the passes it is handed tile each N's [0, trials), and
+        # that at most two per worker are submitted and not yet handed back.
+        sizes, spans, live = [], {}, [0]
+
+        class HandedBack(Future):
+            def result(self, timeout=None):
+                live[0] -= 1
+                return super().result(timeout)
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -382,17 +416,22 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, configs, ns, starts, stops):
-                spans = {}
-                for n, start, stop in zip(ns, starts, stops):
-                    spans.setdefault(n, []).append((start, stop))
-                for n, ranges in spans.items():
-                    ranges.sort()
-                    assert ranges[0][0] == 0 and ranges[-1][1] == cfg.trials, n
-                    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])), n
-                    assert all(start < stop for start, stop in ranges), n
-                assert sorted(spans) == sorted(cfg.n_list)
-                return map(fn, configs, ns, starts, stops)
+            def submit(self, fn, config, n, start, stop):
+                spans.setdefault(n, []).append((start, stop))
+                live[0] += 1
+                assert live[0] <= 2 * sizes[-1]
+                future = HandedBack()
+                future.set_result(fn(config, n, start, stop))
+                return future
+
+        def assert_tiled(cfg):
+            assert sorted(spans) == sorted(cfg.n_list)
+            for n, ranges in spans.items():
+                ranges.sort()
+                assert ranges[0][0] == 0 and ranges[-1][1] == cfg.trials, n
+                assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])), n
+                assert all(start < stop for start, stop in ranges), n
+            spans.clear()
 
         monkeypatch.setattr(simcli, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(simcli.os, "cpu_count", lambda: 4)
@@ -400,13 +439,17 @@ class TestRunExperiment:
         cfg = small_config(trials=5, workers=5000)
         many = run_experiment(cfg)
         assert sizes == [2]  # two passes, one per N
+        assert_tiled(cfg)
         assert strip(many) == strip(run_experiment(small_config(trials=5)))
         # Three trials per pass at N = 6 and four at N = 4: 6 + 5 passes,
-        # so the pool gets all four CPUs.
+        # more than the 8 that four workers keep in flight, so the pool gets
+        # all four CPUs.
         monkeypatch.setattr(simcli, "_BATCH_BITS", 3 * 6 * cfg.b)
         cfg = small_config(trials=17, workers=5000)
         run_experiment(cfg)
         assert sizes == [2, 4]
+        assert_tiled(cfg)
+        assert live == [0]
 
     def test_success_counts_monotone_in_n(self):
         cfg = small_config(n_list=(3, 5, 7), trials=150)
