@@ -65,8 +65,8 @@ class ChannelParams:
         """Invert (eps, burst length) to (p01, p10): p10 = 1/Λ, p01 = ε/(Λ(1-ε))."""
         if not 0.0 <= eps < 1.0:
             raise ValueError(f"eps must be in [0, 1), got {eps}")
-        if burst_len < 1.0:
-            raise ValueError(f"burst length must be at least 1, got {burst_len}")
+        if not 1.0 <= burst_len < math.inf:
+            raise ValueError(f"burst length must be at least 1 and finite, got {burst_len}")
         p10 = 1.0 / burst_len
         p01 = eps / (burst_len * (1.0 - eps))
         if p01 > 1.0:
@@ -90,8 +90,10 @@ def apply_batch(
 ) -> list[tuple[BitMatrix, BitMatrix]]:
     """``apply(params, x, s)`` for each matrix x of ``xs`` (all of one shape)
     and its seed s in the 1-D uint64 array ``seeds``, in one scan."""
-    if seeds.shape != (len(xs),):
-        raise ValueError(f"expected one seed per matrix, got shape {seeds.shape} for {len(xs)}")
+    if seeds.shape != (len(xs),) or seeds.dtype != np.uint64:
+        raise ValueError(
+            f"expected one seed per matrix (uint64), got {seeds.dtype} {seeds.shape} for {len(xs)}"
+        )
     if not xs:
         return []
     n, b = xs[0].rows, xs[0].cols

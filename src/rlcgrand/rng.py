@@ -127,9 +127,9 @@ def random_bit_matrix(seed: int, rows: int, cols: int) -> BitMatrix:
 
 def random_rows(seeds: np.ndarray, rows: int, cols: int) -> list[tuple[int, ...]]:
     """The row ints of ``random_bit_matrix(s, rows, cols)`` for each seed s
-    of a 1-D array, drawn and packed in one pass."""
-    if seeds.ndim != 1:
-        raise ValueError(f"seeds must be a 1-D array, got shape {seeds.shape}")
+    of a 1-D uint64 array, drawn and packed in one pass."""
+    if seeds.ndim != 1 or seeds.dtype != np.uint64:
+        raise ValueError(f"seeds must be a 1-D uint64 array, got {seeds.dtype} of shape {seeds.shape}")
     if rows < 0 or cols < 0:
         raise ValueError(f"matrix dimensions must be non-negative, got {rows}x{cols}")
     packed = pack_rows(bit_block(seeds, rows * cols))

@@ -41,6 +41,7 @@ loop.  A process holds at most one pass of generated trials.
 from __future__ import annotations
 
 import argparse
+import operator
 import os
 import sys
 import time
@@ -96,8 +97,15 @@ class SimConfig:
     channel_params: ChannelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Tuples, so the config hashes and cannot change after its checks.
-        object.__setattr__(self, "n_list", tuple(self.n_list))
+        # Python ints, since a NumPy integer overflows in the seed arithmetic,
+        # and tuples, so the config hashes and cannot change after its checks.
+        for name in ("k", "b", "trials", "master_seed", "query_cap", "workers", "n_list"):
+            value = getattr(self, name)
+            try:
+                value = tuple(map(operator.index, value)) if name == "n_list" else operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} takes integers, got {value!r}") from None
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "decoders", tuple(self.decoders))
         if self.k < 1:
             raise ValueError("k must be at least 1")

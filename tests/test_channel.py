@@ -43,6 +43,11 @@ class TestParams:
             ChannelParams.from_eps_lambda(-0.1, 2.0)
         with pytest.raises(ValueError, match="burst length must be at least 1"):
             ChannelParams.from_eps_lambda(0.05, 0.5)  # p10 would be 2
+        # NaN passed the check and inf gave p10 = 0; both were reported as
+        # faults of p01 or p10.
+        for burst_len in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="burst length"):
+                ChannelParams.from_eps_lambda(0.05, burst_len)
         with pytest.raises(ValueError):
             ChannelParams(p01=0.1, p10=0.0)  # infinite bursts
         with pytest.raises(ValueError, match=r"p01 must be in \[0, 1\]"):
@@ -102,14 +107,22 @@ class TestApply:
         with pytest.raises(ValueError):
             channel.apply_batch(params, [BitMatrix.zeros(2, 8), BitMatrix.zeros(3, 8)], seeds)
 
-    @pytest.mark.parametrize("seeds", [[1, 2], [1, 2, 3, 4], [[1, 2, 3]], [[1], [2], [3]]])
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            *(np.array(s, dtype=np.uint64) for s in ([1, 2], [1, 2, 3, 4], [[1, 2, 3]], [[1], [2], [3]])),
+            np.array([1, 2, 3], dtype=np.int64),
+            np.array([1.0, 2.0, 3.0]),
+        ],
+    )
     def test_batch_takes_one_seed_per_matrix(self, seeds):
         # A short seeds array once gave the matrices past its end no noise,
-        # and extra seeds were dropped.
+        # and extra seeds were dropped; an int64 or float array failed deep
+        # in uint64_block.
         params = ChannelParams.from_eps_lambda(0.3, 2.0)
         xs = [BitMatrix.zeros(4, 16)] * 3
-        with pytest.raises(ValueError, match="one seed per matrix"):
-            channel.apply_batch(params, xs, np.array(seeds, dtype=np.uint64))
+        with pytest.raises(ValueError, match=r"one seed per matrix \(uint64\)"):
+            channel.apply_batch(params, xs, seeds)
 
     def test_y_is_x_xor_e(self):
         params = ChannelParams.from_eps_lambda(0.3, 2.0)

@@ -79,10 +79,16 @@ def test_random_bit_matrix_row_major_bits():
 
 
 def test_random_rows_takes_a_1d_seed_array():
-    # A 2-D array once gave the matrices of its first row's seeds only.
-    for seeds in ([[1, 2], [3, 4]], 5):
-        with pytest.raises(ValueError, match="1-D"):
-            rng.random_rows(np.array(seeds, dtype=np.uint64), 2, 3)
+    # A 2-D array once gave the matrices of its first row's seeds only, and
+    # an int64 or float array failed deep in uint64_block.
+    for seeds in (
+        np.array([[1, 2], [3, 4]], dtype=np.uint64),
+        np.array(5, dtype=np.uint64),
+        np.array([1, 2], dtype=np.int64),
+        np.array([1.0, 2.0]),
+    ):
+        with pytest.raises(ValueError, match="1-D uint64 array"):
+            rng.random_rows(seeds, 2, 3)
 
 
 @pytest.mark.parametrize("rows, cols", [(-2, 3), (3, -2), (-1, -1)])

@@ -2,11 +2,15 @@ import dataclasses
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import threading
+import warnings
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +24,7 @@ from oracles import next_float, reference_records, reference_trial, trial_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_csv(path) -> list[SimRecord]:
@@ -96,6 +101,27 @@ class TestConfig:
         decoders.append("bogus")
         assert cfg.n_list == (4, 5) and cfg.decoders == ("rlc", "sd")
         assert hash(cfg) == hash(SimConfig(k=3, n_list=(4, 5), decoders=("rlc", "sd")))
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        # NumPy integers passed every check, and then run_experiment raised
+        # OverflowError; a uint64 seed overflowed in rng.mix64 with warnings.
+        fields = dict(k=3, n_list=(4, 6), b=16, trials=40, master_seed=2**64 - 5, query_cap=900, workers=1)
+        cfg = small_config(**fields)
+        numpy_cfg = small_config(
+            k=np.int64(3), n_list=np.arange(4, 7, 2), b=np.int64(16), trials=np.int64(40),
+            master_seed=np.uint64(2**64 - 5), query_cap=np.int32(900), workers=np.int8(1),
+        )
+        assert numpy_cfg == cfg and hash(numpy_cfg) == hash(cfg)
+        assert {type(getattr(numpy_cfg, name)) for name in fields} == {int, tuple}
+        assert {type(n) for n in numpy_cfg.n_list} == {int}
+        strip = lambda records: [dataclasses.replace(r, wall_seconds=0.0) for r in records]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert strip(run_experiment(numpy_cfg)) == strip(run_experiment(cfg))
+        with pytest.raises(ValueError, match="k takes integers, got 3.0"):
+            small_config(k=3.0)
+        with pytest.raises(ValueError, match="n_list takes integers"):
+            small_config(n_list=(4, 6.0))
 
 
 class TestRunTrial:
@@ -598,6 +624,20 @@ class TestCli:
         records = read_csv(out)
         assert len(records) == 6
         assert "wrote 6 records" in capsys.readouterr().out
+
+    def test_module_run_writes_csv_and_no_warning(self, tmp_path):
+        # The README's `python -m rlcgrand.simcli`: runpy warned on stderr
+        # while the package root imported simcli before it ran as __main__.
+        out = tmp_path / "r.csv"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "rlcgrand.simcli", "--trials", "2", "--n-min", "10",
+             "--n-max", "11", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0
+        assert len(read_csv(out)) == 6
+        assert run.stderr == ""
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "sim.cfg"

@@ -2,12 +2,13 @@
 
 A module-level definition in ``src/rlcgrand/*.py``, and every method,
 classmethod and property of its classes (dunders excepted), must be
-referenced from a package module other than ``__init__.py``, the
-benchmark (``perfbench/``), the scripts (``scripts/``), the frozen
-acceptance tests or the README's library example.  Being exported in
-``rlcgrand.__all__`` does not count: the re-export is not a use.  Library
-code that only unit tests call fails here: it belongs in the tests, or
-its tests belong on the public path.
+referenced from a package module, the benchmark (``perfbench/``),
+the scripts (``scripts/``), the frozen acceptance tests or the README's
+library example.  Library code that only unit tests call fails here: it
+belongs in the tests, or its tests belong on the public path.
+
+The package root re-exports nothing: ``__init__.py`` holds only its
+docstring, and every name is imported from the module that defines it.
 """
 
 import ast
@@ -17,7 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rlcgrand"
 USERS = [
-    *sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    *sorted(PACKAGE.glob("*.py")),
     *sorted((ROOT / "perfbench").glob("*.py")),
     *sorted((ROOT / "scripts").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
@@ -62,3 +63,9 @@ def test_every_definition_has_a_user():
         if name not in used
     ]
     assert unused == []
+
+
+def test_package_root_is_only_its_docstring():
+    module = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(module)
+    assert len(module.body) == 1
