@@ -6,21 +6,24 @@ column targets.  Both receivers solve one linear system ht·w = t per bit
 position, querying candidate error columns w in a fixed order until the
 syndrome ht·w, the XOR of the columns of ht that w selects, equals t;
 they differ only in that order.  A decoder's order (`CandidateOrder`) is
-a generator of candidate masks in query order and a rule that picks,
-from any set of masks, the one it queries first, with its position.
+a generator of candidate masks in query order, the mask it queries
+first (its lead) and a rule that picks, from any set of masks, the one
+it queries first, with its position.
 
 The solutions of one column form a coset x0 + ker(ht) of dimension
 d = L - rank(ht).  Reducing the columns of ht once per system in a
 `gf2.Echelon`, with a record of which columns were combined, gives a
 particular solution x0 for any target and a basis of the kernel
-(`SyndromeSystem`).  A target is then resolved in two steps:
+(`SyndromeSystem`).  The first hit is the coset member the order queries
+first (`CandidateOrder.first`): where d <= rank(ht) the target's 2^d
+members, one coset per target for every order, are ranked at once.
+Elsewhere the first hit is expected near position 2^rank, well before
+2^d, so a target is resolved in two steps (`OrderedSearch`):
 
 - scan: test candidates in query order, at most min(2^d, cap) of them.
   The first position of every syndrome seen is memoised, so later targets
   in the same order continue the scan instead of restarting it;
-- rank: if the scan found no hit and 2^d < cap, the first hit lies past
-  position 2^d; it is the coset member that the order queries first
-  (`CandidateOrder.first`).
+- rank: if the scan missed and 2^d < cap, the coset is ranked.
 
 A hit past the cap, or a target outside the column space of ht, leaves
 the column unresolved at a cost of min(2^L, cap) queries, exactly as if
@@ -28,15 +31,17 @@ the order had been walked to the cap.
 
 One loop (`repair_columns`) solves the B columns of a system left to
 right, a run of equal targets at a time.  A decoder supplies only the
-search for each column's prior (the previous column's estimate), and
-which searches are shared is the rule of `SyndromeSystem.search`.  Inside
-a run, once a column's estimate names the search that produced it, the
+order for each column's prior (the previous column's estimate), and
+which lookups are shared is the rule of `SyndromeSystem.finder`.  Inside
+a run, once a column's estimate names the order that produced it, the
 rest of the run repeats that answer: sd after one step, tgrand once an
-estimate is its own most likely successor.
+estimate is its own most likely successor, which the walk answers with
+no lookup.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Protocol, Sequence
@@ -58,6 +63,8 @@ class CandidateOrder(Protocol):
 
     def first(self, masks: Sequence[int]) -> tuple[int, int]:
         """(1-based query position, mask) of the mask in `masks` queried first."""
+
+    lead: int  # the mask queried first, at position 1
 
 
 # One run of equal column targets: (first column, end column, target).
@@ -97,8 +104,8 @@ class SyndromeSystem:
     echelon's `gf2.Echelon.reduce` (some w with ht·w = target, or None
     when the target is out of reach) and ``dim`` is the coset dimension
     d = L - rank(ht); for a received batch it equals K - rank(G_R).
-    ``runs`` are the runs of equal column targets of s, and `search`
-    shares each order's search.  ``SyndromeSystem(ht=, s=)`` takes ht as a
+    ``runs`` are the runs of equal column targets of s, and `finder`
+    shares each order's lookups.  ``SyndromeSystem(ht=, s=)`` takes ht as a
     matrix; `from_columns` takes its columns, which is how
     `pipeline.syndrome_system` builds it, so ht's rows are never formed.
     """
@@ -125,23 +132,52 @@ class SyndromeSystem:
         self.num_unknowns = len(cols)
         self.s = s
         self.runs = column_runs(s)
-        self._searches: dict = {}
+        self._finders: dict = {}
+        self._ranked: dict = {}
+        self._cosets: dict = {}
 
-    def search(self, order: CandidateOrder, query_cap: int) -> OrderedSearch:
-        """The one search per (order, cap), keyed by the order's identity, so
-        every column and decoder that names the same order object shares
-        its scan and memo.  sd's order, `tgrand.weight_order`, is the object
-        that `tgrand.likelihood_order` returns at the all-zero prior wherever
-        the channel's class table there is the weight table (p01 <= 1/2), so
-        sd and tgrand share that search.  A search keeps the system's
-        columns, kernel and `particular`, never the system, so no reference
-        cycle keeps a used system alive."""
-        searches, key = self._searches, (order, query_cap)
-        return searches.get(key) or searches.setdefault(key, OrderedSearch(self, *key))
+    def finder(self, order: CandidateOrder, query_cap: int) -> Callable[[int], Hit]:
+        """target -> first hit in ``order`` under ``query_cap``, one per (order,
+        cap).  Where d <= L - d it ranks the coset with `first`, memoised per
+        (order, target) without the cap, which applies on reading; elsewhere it
+        is an `OrderedSearch`.  sd and tgrand share the weight order's finder
+        (`tgrand.likelihood_order`).  A finder never holds the system (no
+        reference cycle), and a cap below 1 is rejected."""
+        find = self._finders.get((order, query_cap))
+        if find is not None:
+            return find
+        if query_cap < 1:
+            raise ValueError(f"query cap must be at least 1, got {query_cap}")
+        if 2 * self.dim > self.num_unknowns:
+            find = OrderedSearch(self, order, query_cap).find
+        else:
+            ranked, first = self._ranked.setdefault(order, {}), order.first
+            cosets, particular, kernel = self._cosets, self.particular, self.kernel
+            miss = None, min(1 << self.num_unknowns, query_cap)
+
+            def find(target: int) -> Hit:
+                hit = ranked.get(target)
+                if hit is None:
+                    members = _coset(cosets, particular, kernel, target)
+                    hit = ranked[target] = first(members)[::-1] if members else (None, math.inf)
+                return hit if hit[1] <= query_cap else miss
+
+        self._finders[order, query_cap] = find
+        return find
+
+
+def _coset(cosets: dict, particular: Callable, kernel: list[int], target: int) -> list | None:
+    """x0 + ker(ht), all solutions of ``target``, kept in ``cosets``; None out of reach."""
+    members = cosets.get(target)
+    if members is None and (x0 := particular(target)) is not None:
+        members = cosets[target] = [x0]
+        for v in kernel:
+            members += [m ^ v for m in members]
+    return members
 
 
 class OrderedSearch:
-    """First-hit lookups in one candidate order, memoised per target.
+    """Scan-then-rank first-hit lookups in one order, memoised per target.
 
     Work bound: the scan tests at most min(2^d, query_cap) candidates in
     all, shared by every target; a target the scan misses hands its 2^d
@@ -153,8 +189,9 @@ class OrderedSearch:
         if query_cap < 1:
             raise ValueError(f"query cap must be at least 1, got {query_cap}")
         self._cols = system.cols
-        self._kernel = system.kernel
         self._particular = system.particular
+        self._kernel = system.kernel
+        self._cosets = system._cosets
         self._order = order
         self._masks = order.masks()
         self._query_cap = query_cap
@@ -193,10 +230,7 @@ class OrderedSearch:
         self._scanned = n
         if self._scan_limit == self._query_cap:  # the scan walked the whole capped prefix
             return None, self._miss_cost
-        coset = [x0]  # x0 + ker(ht): all 2^d solutions
-        for v in self._kernel:
-            coset += [m ^ v for m in coset]
-        pos, mask = self._order.first(coset)
+        pos, mask = self._order.first(_coset(self._cosets, self._particular, self._kernel, target))
         if pos > self._query_cap:
             return None, self._miss_cost
         return mask, pos
@@ -216,30 +250,35 @@ class RepairResult:
 
 
 def repair_columns(
-    system: SyndromeSystem, search_for: Callable[[int], OrderedSearch]
+    system: SyndromeSystem, order_for: Callable[[int], CandidateOrder], query_cap: int
 ) -> RepairResult:
-    """Solve the columns left to right; ``search_for(prior)``, asked once per
-    prior, gives the search for a column whose predecessor was estimated
-    as ``prior``.
+    """Solve the columns left to right; ``order_for(prior)``, asked once per
+    prior, gives the order for a column whose predecessor was estimated
+    as ``prior``, and `SyndromeSystem.finder` its lookups, one per order.
 
-    The prior of the first column is 0.  An unresolved column is left
-    all-zero, so the next column's prior is 0 again.  After each answer
-    the walk looks up the search for the new prior, which the next step
-    uses.  `find` depends only on (search, target), so when that is the
-    search that just answered, every remaining column of the run gets the
-    same (estimate, queries), written with one run mask per estimate bit.
+    The prior of the first column is 0; an unresolved column is left
+    all-zero, so the next prior is 0 again.  A prior that is its order's
+    `lead` answers (prior, 1) with no lookup for its own syndrome (the
+    target it was estimated for, or 0 for prior 0).  A lookup depends
+    only on (order, target), so when the new prior's order is the one
+    that just answered, every remaining column of the run gets the same
+    (estimate, queries), written with one run mask per estimate bit.
     """
-    searches: dict[int, OrderedSearch] = {}
-    search = searches[0] = search_for(0)
+    def step(prior: int, syndrome: int) -> tuple[Callable[[int], Hit], int]:
+        order = order_for(prior)
+        return system.finder(order, query_cap), syndrome if order.lead == prior else -1
+
+    steps: dict[int, tuple] = {}
+    prior, (find, own) = 0, steps.setdefault(0, step(0, 0))
     rows = [0] * system.num_unknowns
     queries: list[int] = []
     unresolved: list[int] = []
     for b, end, target in system.runs:
         while b < end:
-            mask, q = search.find(target)
-            prior, answered = mask or 0, search
-            search = searches.get(prior) or searches.setdefault(prior, search_for(prior))
-            stop = end if search is answered else b + 1
+            mask, q = (prior, 1) if target == own else find(target)
+            prior, answered = mask or 0, find
+            find, own = steps.get(prior) or steps.setdefault(prior, step(prior, target))
+            stop = end if find is answered else b + 1
             # Columns b..stop-1 get (mask, q).
             queries += [q] * (stop - b)
             if mask is None:

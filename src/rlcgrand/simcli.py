@@ -21,10 +21,10 @@ full to each repairing decoder, and each repairing decoder adds its own
 repair and re-decode.  The attempt's share includes reducing the clean
 rows once; each re-decode extends a copy of that reduction with only its
 own promoted rows, and that work is in its decoder's share.  Trial
-generation (data, generator, channel) is charged to none.  A search that
-sd and tgrand share (`SyndromeSystem.search`) is charged only to the
-decoder run first, so the sd and tgrand columns are not standalone
-costs.
+generation (data, generator, channel) is charged to none.  A finder, a
+coset or a rank that sd and tgrand share (`SyndromeSystem.finder`) is
+charged only to the decoder run first, so the sd and tgrand columns are
+not standalone costs.
 
 Each N's trials are cut into passes: as few spans of at most _BATCH_BITS
 channel bits (trials × N × B) as hold them, sizes differing by at most one
@@ -41,6 +41,7 @@ loop.  A process holds at most one pass of generated trials.
 from __future__ import annotations
 
 import argparse
+import numbers
 import operator
 import os
 import sys
@@ -107,6 +108,9 @@ class SimConfig:
                 raise ValueError(f"{name} takes integers, got {value!r}") from None
             object.__setattr__(self, name, value)
         object.__setattr__(self, "decoders", tuple(self.decoders))
+        for name in ("eps", "burst_len"):
+            if not isinstance(value := getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} takes real numbers, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not self.n_list or any(n < self.k for n in self.n_list):

@@ -14,9 +14,10 @@ repair.  Columns are solved left to right, each estimate seeding the
 next column's prior; the prior for the first column is all-zero because
 the chains start in the good state.
 
-The first hit is found with the shared search (`search.py`), which
+The first hit is found with the system's finder (`search.py`), which
 asks the order for the coset member it queries first
-(`LikelihoodOrder.first`) when its scan misses.  A candidate's position
+(`LikelihoodOrder.first`): at once where the coset dimension is at most
+rank(ht), after a scan misses elsewhere.  A candidate's position
 is
 
     offset of class (l0, l1) in sorted_classes
@@ -28,7 +29,7 @@ only in the earliest class.  The estimate and the reported query count
 equal those of walking the order to the first hit, or to the query cap.
 
 An order is a prior plus its class table (`LikelihoodOrder`); which
-searches sd and tgrand share is the rule of `SyndromeSystem.search`.
+finders sd and tgrand share is the rule of `SyndromeSystem.finder`.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def tg_solve_column(
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
     system = SyndromeSystem(ht=ht, s=BitMatrix.trusted(len(s), 1, _binary(s, "syndrome")))
     order = likelihood_order(bits_to_mask(prior.prev), ht.cols, params.p01, params.p10)
-    mask, _ = system.search(order, query_cap).find(system.runs[0][2])
+    mask, _ = system.finder(order, query_cap)(system.runs[0][2])
     return None if mask is None else mask_to_bits(mask, ht.cols)
 
 
@@ -201,13 +202,11 @@ def tg_repair(
     """Estimate all B error columns, chaining each estimate into the next prior.
 
     A capped-out column is left all-zero and the next column restarts
-    from the all-zero prior.  Each prior's search is the system's search
-    in its likelihood order (`SyndromeSystem.search`).
+    from the all-zero prior.  Each prior's lookups are the system's finder
+    in its likelihood order (`SyndromeSystem.finder`).
     """
     l, p01, p10 = system.num_unknowns, params.p01, params.p10
-    return repair_columns(
-        system, lambda prior: system.search(likelihood_order(prior, l, p01, p10), query_cap)
-    )
+    return repair_columns(system, lambda prior: likelihood_order(prior, l, p01, p10), query_cap)
 
 
 # The bound of the weight order's prefix, per L: at most this many of its
@@ -230,8 +229,8 @@ class LikelihoodOrder:
       asks for its order, so it keeps the whole weights within
       `MEMO_MASKS` masks, weight 0 at least, so ``kept`` > 0 marks it.
 
-    `masks` yields the prefix, then generates the rest.  Orders compare by
-    identity.
+    `masks` yields the prefix, then generates the rest; ``lead`` is its
+    first mask, the prior only if (0, 0) leads.  Orders compare by identity.
     """
 
     def __init__(self, prior_mask: int, l: int, table: ClassTable):
@@ -241,6 +240,7 @@ class LikelihoodOrder:
         self._one_bits = [1 << j for j in range(l) if prior_mask >> j & 1]
         self._stride = len(self._one_bits) + 1
         self._classes, self._offsets, self._kept = table
+        self.lead = next(self._walk(self._classes[:1]), prior_mask)
         self._prefix = tuple(self._walk(self._classes[: self._kept])) if self._kept else ()
 
     def masks(self) -> Iterator[int]:
@@ -260,6 +260,8 @@ class LikelihoodOrder:
             offsets[(m & zeros).bit_count() * stride + (m & prior).bit_count()] for m in masks
         ]
         start = min(starts)
+        if starts.count(start) == 1:  # the usual case: one member in the earliest class
+            return self.position(mask := masks[starts.index(start)]), mask
         return min((self.position(m), m) for m, s in zip(masks, starts) if s == start)
 
     def position(self, mask: int) -> int:

@@ -72,11 +72,11 @@ class TestCoset:
         # the empty and the full mask are always checked.  The cap 2^L
         # leaves no answer capped.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        search = no_runs(ht).search(sd.weight_order(unknowns), 1 << unknowns)
+        find = no_runs(ht).finder(sd.weight_order(unknowns), 1 << unknowns)
         full = (1 << unknowns) - 1
         for m in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=20))]:
             target = syndrome_of_mask(ht, m)
-            mask, _ = search.find(target)
+            mask, _ = find(target)
             assert mask is not None and syndrome_of_mask(ht, mask) == target
 
     def test_lex_rank_follows_combinations(self):
@@ -221,31 +221,77 @@ class TestSystemSearch:
         with pytest.raises(ValueError, match="syndrome row count must match"):
             sd.SyndromeSystem(ht=BitMatrix.zeros(2, 3), s=BitMatrix.zeros(3, 4))
 
-    def test_one_search_lookup_per_prior(self, monkeypatch):
-        # ht = I_3, so each column's estimate is its target, whatever the
-        # order: the estimates 1, 1, 2, 2, 4, 3, 0, 5 take six values.
-        # sd looks up its one search once; tgrand looks up one search per
-        # prior the walk meets: 0 and every estimate, the last column's
-        # included.
+    def test_rank_regime_lookups_and_ranks(self, monkeypatch):
+        # ht = I_3 has d = 0 against rank 3, so a lookup ranks the target's
+        # one-member coset and no order draws a mask.  Each column's
+        # estimate is its target, whatever the order: the estimates 1, 1,
+        # 2, 2, 4, 3, 0, 5 take six values.  Both decoders ask for a finder
+        # once per prior the walk meets (0 and every estimate); sd's six
+        # lookups name its one order.  Each decoder ranks each of the six
+        # distinct targets once; tgrand answers the second column of the
+        # runs of 1 and of 2 with the prior itself, at query 1.
         targets = (1, 1, 2, 2, 4, 3, 0, 5)
         s = BitMatrix.trusted(len(targets), 3, targets).transpose()
-        calls = []
-        search = sd.SyndromeSystem.search
-
-        def counting(system, order, query_cap):
-            calls.append(order)
-            return search(system, order, query_cap)
-
-        monkeypatch.setattr(sd.SyndromeSystem, "search", counting)
+        lookups, ranks, draws = [], [], []
+        finder, first = sd.SyndromeSystem.finder, tgrand.LikelihoodOrder.first
+        masks = tgrand.LikelihoodOrder.masks
+        monkeypatch.setattr(
+            sd.SyndromeSystem, "finder", lambda sy, o, c: lookups.append(o) or finder(sy, o, c)
+        )
+        monkeypatch.setattr(tgrand.LikelihoodOrder, "first", lambda o, m: ranks.append(m) or first(o, m))
+        monkeypatch.setattr(tgrand.LikelihoodOrder, "masks", lambda o: draws.append(o) or masks(o))
         res = sd.sd_repair(sd.SyndromeSystem(ht=BitMatrix.identity(3), s=s))
         assert res.e_hat.col_ints() == targets
-        assert len(calls) == 1
-        calls.clear()
+        assert len(lookups) == 6 and len(set(lookups)) == 1
+        assert ranks == [[t] for t in (1, 2, 4, 3, 0, 5)] and draws == []
+        lookups.clear(), ranks.clear()
         res = tgrand.tg_repair(
             sd.SyndromeSystem(ht=BitMatrix.identity(3), s=s), ChannelParams(p01=0.1, p10=0.3)
         )
         assert res.e_hat.col_ints() == targets
-        assert len(calls) == len({0, *targets}) == 6
+        assert res.queries_per_column[1] == res.queries_per_column[3] == 1
+        assert len(lookups) == len(set(lookups)) == len({0, *targets}) == 6
+        assert ranks == [[t] for t in (1, 2, 4, 3, 0, 5)] and draws == []
+
+    @pytest.mark.parametrize("checks", [5, 2])
+    @pytest.mark.parametrize("hseed", range(3))
+    def test_caps_in_either_order_equal_fresh_systems(self, checks, hseed):
+        # A small cap then the default cap on one system, and the reverse,
+        # give what fresh systems give: the rank memo is kept without the
+        # cap, so neither cap's answers leak into the other's.  5 checks
+        # over 8 unknowns rank the cosets, 2 checks scan.
+        ht, s = random_bit_matrix(hseed, checks, 8), random_bit_matrix(hseed + 50, checks, 40)
+        params = ChannelParams(p01=0.1, p10=0.3)
+        for run in (sd.sd_repair, lambda system, cap: tgrand.tg_repair(system, params, cap)):
+            fresh = {cap: run(sd.SyndromeSystem(ht=ht, s=s), cap) for cap in (3, DEFAULT_QUERY_CAP)}
+            assert len(fresh[3].unresolved) > len(fresh[DEFAULT_QUERY_CAP].unresolved)
+            for caps in ((3, DEFAULT_QUERY_CAP), (DEFAULT_QUERY_CAP, 3)):
+                system = sd.SyndromeSystem(ht=ht, s=s)
+                assert [run(system, cap) for cap in caps] == [fresh[cap] for cap in caps]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 8), seed, st.integers(1, 300), st.integers(0, 255))
+    def test_regime_routing(self, checks, unknowns, hseed, cap, prior):
+        # Where d <= rank(ht), a finder draws no mask and ranks each
+        # target's 2^d coset members once, whatever the cap; where d >
+        # rank(ht) it scans, drawing at most min(2^d, cap) masks.  Every
+        # answer is the order's first hit.
+        ht = random_bit_matrix(hseed, checks, unknowns)
+        system = no_runs(ht)
+        prior &= (1 << unknowns) - 1
+        for real in (sd.weight_order(unknowns), tgrand.likelihood_order(prior, unknowns, 0.1, 0.7)):
+            stream, order = list(real.masks()), Counting(real)
+            for query_cap in (cap, DEFAULT_QUERY_CAP):
+                find, drawn, ranked = system.finder(order, query_cap), order.drawn, order.ranked
+                for target in range(1 << checks):
+                    before = order.ranked
+                    assert find(target) == first_hit(stream, ht, target, query_cap)
+                    assert order.ranked - before <= 1 << system.dim
+                if 2 * system.dim <= unknowns:
+                    assert order.drawn == 0
+                    assert query_cap == cap or order.ranked == ranked
+                else:
+                    assert order.drawn - drawn <= min(1 << system.dim, query_cap)
 
     @pytest.mark.parametrize("hseed", range(4))
     @pytest.mark.parametrize("query_cap", [3, 1 << 20])
@@ -269,18 +315,22 @@ class TestSystemSearch:
             assert runs[second](system) == expected[second]
 
     def test_repairs_leave_no_reference_cycle(self):
-        # The system holds its searches and each search holds the
-        # system's columns, kernel and `particular`, never the system, so
-        # refcounting alone frees a used system.
+        # The system holds its finders and each finder holds the system's
+        # columns, kernel, `particular` and cosets, never the system, so
+        # refcounting alone frees a used system.  Both regimes run: 5
+        # checks over 8 unknowns rank the cosets, 2 checks scan.
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            system = sd.SyndromeSystem(ht=random_bit_matrix(1, 5, 8), s=random_bit_matrix(2, 5, 24))
-            sd.sd_repair(system)
-            tgrand.tg_repair(system, ChannelParams(p01=0.1, p10=0.3))
-            ref = weakref.ref(system)
-            del system
-            assert ref() is None
+            for checks in (5, 2):
+                ht, s = random_bit_matrix(1, checks, 8), random_bit_matrix(2, checks, 24)
+                system = sd.SyndromeSystem(ht=ht, s=s)
+                assert (2 * system.dim <= 8) == (checks == 5)
+                sd.sd_repair(system)
+                tgrand.tg_repair(system, ChannelParams(p01=0.1, p10=0.3))
+                ref = weakref.ref(system)
+                del system
+                assert ref() is None
         finally:
             if was_enabled:
                 gc.enable()
@@ -380,7 +430,7 @@ class TestCapAtDriverSizes:
             prior = 0
             for (mask, q), target in zip(tg_capped, system.s.col_ints()):
                 order = tgrand.likelihood_order(prior, unknowns, params.p01, params.p10)
-                hit = system.search(order, DEFAULT_QUERY_CAP).find(target)
+                hit = system.finder(order, DEFAULT_QUERY_CAP)(target)
                 assert (mask, q) == truncated(hit, cap, unknowns)
                 prior = mask or 0
 
@@ -430,6 +480,22 @@ class TestRunWalk:
         assert_repair_matches(
             tgrand.tg_repair(system, params, cap), tg_repair_by_enumeration(ht, s, params, cap)
         )
+
+    @pytest.mark.parametrize("row", [[1, 1], [1, 1, 0]])
+    def test_prior_first_needs_the_prior_to_lead_its_order(self, row):
+        # Target 1 is solved by mask 1, at query 2 of the weight order.  At
+        # p10 = 0.9 the order of prior 1 flips its one bit first, so it
+        # queries 0 first and the prior second: the run's later columns,
+        # whose prior satisfies the target, report query 2, not 1.  One
+        # check over 2 unknowns ranks the coset, over 3 it scans.
+        ht = from_rows([row])
+        params = ChannelParams(p01=0.1, p10=0.9)
+        order = tgrand.likelihood_order(1, len(row), params.p01, params.p10)
+        assert order.lead == 0 and order.first([1]) == (2, 1)
+        s = BitMatrix.trusted(3, 1, (1, 1, 1)).transpose()
+        res = tgrand.tg_repair(sd.SyndromeSystem(ht=ht, s=s), params)
+        assert res.queries_per_column == (2, 2, 2) and res.e_hat.col_ints() == (1, 1, 1)
+        assert_repair_matches(res, tg_repair_by_enumeration(ht, s, params, DEFAULT_QUERY_CAP))
 
     @pytest.mark.parametrize("b", [1, 63, 64, 65, 129])
     def test_a_capped_run_is_unresolved_in_every_column(self, b):

@@ -123,6 +123,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="n_list takes integers"):
             small_config(n_list=(4, 6.0))
 
+    def test_non_numeric_channel_fields_name_the_field(self):
+        # A string eps or a None burst length reached the range check in
+        # ChannelParams.from_eps_lambda and raised TypeError there.
+        with pytest.raises(ValueError, match="eps takes real numbers, got '0.05'"):
+            small_config(eps="0.05")
+        with pytest.raises(ValueError, match="burst_len takes real numbers, got None"):
+            small_config(burst_len=None)
+        assert small_config(eps=np.float32(0.25), burst_len=2).channel_params.p10 == 0.5
+
 
 class TestRunTrial:
     def test_noiseless_always_succeeds(self):
