@@ -15,10 +15,11 @@ d = L - rank(ht).  Reducing the columns of ht once per system in a
 `gf2.Echelon`, with a record of which columns were combined, gives a
 particular solution x0 for any target and a basis of the kernel
 (`SyndromeSystem`).  The first hit is the coset member the order queries
-first (`CandidateOrder.first`): where d <= rank(ht) the target's 2^d
-members, one coset per target for every order, are ranked at once.
-Elsewhere the first hit is expected near position 2^rank, well before
-2^d, so a target is resolved in two steps (`OrderedSearch`):
+first (`CandidateOrder.first`).  An `OrderedSearch` finds it for one
+order: where d <= rank(ht) it ranks the target's 2^d members at once,
+over one coset per target that every order shares.  Elsewhere the first
+hit is expected near position 2^rank, well before 2^d, so a target is
+resolved in two steps:
 
 - scan: test candidates in query order, at most min(2^d, cap) of them.
   The first position of every syndrome seen is memoised, so later targets
@@ -32,7 +33,7 @@ the order had been walked to the cap.
 One loop (`repair_columns`) solves the B columns of a system left to
 right, a run of equal targets at a time.  A decoder supplies only the
 order for each column's prior (the previous column's estimate), and
-which lookups are shared is the rule of `SyndromeSystem.finder`.  Inside
+which searches are shared is the rule of `SyndromeSystem.search`.  Inside
 a run, once a column's estimate names the order that produced it, the
 rest of the run repeats that answer: sd after one step, tgrand once an
 estimate is its own most likely successor, which the walk answers with
@@ -41,7 +42,6 @@ no lookup.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Protocol, Sequence
@@ -104,8 +104,8 @@ class SyndromeSystem:
     echelon's `gf2.Echelon.reduce` (some w with ht·w = target, or None
     when the target is out of reach) and ``dim`` is the coset dimension
     d = L - rank(ht); for a received batch it equals K - rank(G_R).
-    ``runs`` are the runs of equal column targets of s, and `finder`
-    shares each order's lookups.  ``SyndromeSystem(ht=, s=)`` takes ht as a
+    ``runs`` are the runs of equal column targets of s, and `search`
+    shares each order's search.  ``SyndromeSystem(ht=, s=)`` takes ht as a
     matrix; `from_columns` takes its columns, which is how
     `pipeline.syndrome_system` builds it, so ht's rows are never formed.
     """
@@ -132,57 +132,32 @@ class SyndromeSystem:
         self.num_unknowns = len(cols)
         self.s = s
         self.runs = column_runs(s)
-        self._finders: dict = {}
-        self._ranked: dict = {}
+        self._searches: dict = {}
         self._cosets: dict = {}
 
-    def finder(self, order: CandidateOrder, query_cap: int) -> Callable[[int], Hit]:
-        """target -> first hit in ``order`` under ``query_cap``, one per (order,
-        cap).  Where d <= L - d it ranks the coset with `first`, memoised per
-        (order, target) without the cap, which applies on reading; elsewhere it
-        is an `OrderedSearch`.  sd and tgrand share the weight order's finder
-        (`tgrand.likelihood_order`).  A finder never holds the system (no
-        reference cycle), and a cap below 1 is rejected."""
-        find = self._finders.get((order, query_cap))
-        if find is not None:
-            return find
-        if query_cap < 1:
-            raise ValueError(f"query cap must be at least 1, got {query_cap}")
-        if 2 * self.dim > self.num_unknowns:
-            find = OrderedSearch(self, order, query_cap).find
-        else:
-            ranked, first = self._ranked.setdefault(order, {}), order.first
-            cosets, particular, kernel = self._cosets, self.particular, self.kernel
-            miss = None, min(1 << self.num_unknowns, query_cap)
-
-            def find(target: int) -> Hit:
-                hit = ranked.get(target)
-                if hit is None:
-                    members = _coset(cosets, particular, kernel, target)
-                    hit = ranked[target] = first(members)[::-1] if members else (None, math.inf)
-                return hit if hit[1] <= query_cap else miss
-
-        self._finders[order, query_cap] = find
-        return find
-
-
-def _coset(cosets: dict, particular: Callable, kernel: list[int], target: int) -> list | None:
-    """x0 + ker(ht), all solutions of ``target``, kept in ``cosets``; None out of reach."""
-    members = cosets.get(target)
-    if members is None and (x0 := particular(target)) is not None:
-        members = cosets[target] = [x0]
-        for v in kernel:
-            members += [m ^ v for m in members]
-    return members
+    def search(self, order: CandidateOrder, query_cap: int) -> OrderedSearch:
+        """The one search per (order, cap), keyed by the order's identity, so
+        every column and decoder that names the same order object shares
+        its memo.  sd's order, `tgrand.weight_order`, is the object that
+        `tgrand.likelihood_order` returns at the all-zero prior wherever the
+        channel's class table there is the weight table (p01 <= 1/2), so sd
+        and tgrand share that search.  A search keeps the system's columns,
+        kernel, `particular` and cosets, never the system, so no reference
+        cycle keeps a used system alive."""
+        searches, key = self._searches, (order, query_cap)
+        return searches.get(key) or searches.setdefault(key, OrderedSearch(self, *key))
 
 
 class OrderedSearch:
-    """Scan-then-rank first-hit lookups in one order, memoised per target.
+    """First-hit lookups in one order, memoised per target.
 
-    Work bound: the scan tests at most min(2^d, query_cap) candidates in
-    all, shared by every target; a target the scan misses hands its 2^d
-    coset members to the order's `first`.  A cap below 1 is rejected: a
-    search that may make no query has no answer to give.
+    Where d <= L - d a target's coset is ranked at once with the order's
+    `first`; the coset is kept on the system, so every order ranks the
+    same list.  Elsewhere the scan runs first.  Work bound: the scan tests
+    at most min(2^d, query_cap) candidates in all, shared by every target;
+    a target the scan misses hands its 2^d coset members, built and then
+    dropped, to `first`.  A cap below 1 is rejected: a search that may make
+    no query has no answer to give.
     """
 
     def __init__(self, system: SyndromeSystem, order: CandidateOrder, query_cap: int):
@@ -193,9 +168,10 @@ class OrderedSearch:
         self._kernel = system.kernel
         self._cosets = system._cosets
         self._order = order
-        self._masks = order.masks()
         self._query_cap = query_cap
-        self._scan_limit = min(1 << system.dim, query_cap)
+        scan = 2 * system.dim > system.num_unknowns
+        self._scan_limit = min(1 << system.dim, query_cap) if scan else 0
+        self._masks = order.masks() if scan else iter(())
         self._miss_cost = min(1 << system.num_unknowns, query_cap)
         self._scanned = 0
         # Syndrome -> first hit.  Holds every syndrome the scan has seen
@@ -211,26 +187,33 @@ class OrderedSearch:
         return hit
 
     def _resolve(self, target: int) -> Hit:
-        x0 = self._particular(target)
-        if x0 is None:
-            return None, self._miss_cost
-        found, cols, n = self._found, self._cols, self._scanned
-        for mask in islice(self._masks, self._scan_limit - n):
-            n += 1
-            s, w = 0, mask  # s = ht·w, the XOR of the columns w selects
-            while w:
-                low = w & -w
-                s ^= cols[low.bit_length() - 1]
-                w ^= low
-            if s not in found:
-                found[s] = (mask, n)
-                if s == target:
-                    self._scanned = n
-                    return mask, n
-        self._scanned = n
-        if self._scan_limit == self._query_cap:  # the scan walked the whole capped prefix
-            return None, self._miss_cost
-        pos, mask = self._order.first(_coset(self._cosets, self._particular, self._kernel, target))
+        coset = self._cosets.get(target)
+        if coset is None:
+            x0 = self._particular(target)
+            if x0 is None:
+                return None, self._miss_cost
+            found, cols, n = self._found, self._cols, self._scanned
+            for mask in islice(self._masks, self._scan_limit - n):
+                n += 1
+                s, w = 0, mask  # s = ht·w, the XOR of the columns w selects
+                while w:
+                    low = w & -w
+                    s ^= cols[low.bit_length() - 1]
+                    w ^= low
+                if s not in found:
+                    found[s] = (mask, n)
+                    if s == target:
+                        self._scanned = n
+                        return mask, n
+            self._scanned = n
+            if self._scan_limit == self._query_cap:  # the scan walked the whole capped prefix
+                return None, self._miss_cost
+            coset = [x0]  # x0 + ker(ht): all 2^d solutions
+            for v in self._kernel:
+                coset += [m ^ v for m in coset]
+            if not self._scan_limit:
+                self._cosets[target] = coset
+        pos, mask = self._order.first(coset)
         if pos > self._query_cap:
             return None, self._miss_cost
         return mask, pos
@@ -254,7 +237,7 @@ def repair_columns(
 ) -> RepairResult:
     """Solve the columns left to right; ``order_for(prior)``, asked once per
     prior, gives the order for a column whose predecessor was estimated
-    as ``prior``, and `SyndromeSystem.finder` its lookups, one per order.
+    as ``prior``, and `SyndromeSystem.search` its search, one per order.
 
     The prior of the first column is 0; an unresolved column is left
     all-zero, so the next prior is 0 again.  A prior that is its order's
@@ -264,21 +247,21 @@ def repair_columns(
     that just answered, every remaining column of the run gets the same
     (estimate, queries), written with one run mask per estimate bit.
     """
-    def step(prior: int, syndrome: int) -> tuple[Callable[[int], Hit], int]:
+    def step(prior: int, syndrome: int) -> tuple[OrderedSearch, int]:
         order = order_for(prior)
-        return system.finder(order, query_cap), syndrome if order.lead == prior else -1
+        return system.search(order, query_cap), syndrome if order.lead == prior else -1
 
     steps: dict[int, tuple] = {}
-    prior, (find, own) = 0, steps.setdefault(0, step(0, 0))
+    prior, (search, own) = 0, steps.setdefault(0, step(0, 0))
     rows = [0] * system.num_unknowns
     queries: list[int] = []
     unresolved: list[int] = []
     for b, end, target in system.runs:
         while b < end:
-            mask, q = (prior, 1) if target == own else find(target)
-            prior, answered = mask or 0, find
-            find, own = steps.get(prior) or steps.setdefault(prior, step(prior, target))
-            stop = end if find is answered else b + 1
+            mask, q = (prior, 1) if target == own else search.find(target)
+            prior, answered = mask or 0, search
+            search, own = steps.get(prior) or steps.setdefault(prior, step(prior, target))
+            stop = end if search is answered else b + 1
             # Columns b..stop-1 get (mask, q).
             queries += [q] * (stop - b)
             if mask is None:

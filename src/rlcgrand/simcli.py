@@ -21,10 +21,10 @@ full to each repairing decoder, and each repairing decoder adds its own
 repair and re-decode.  The attempt's share includes reducing the clean
 rows once; each re-decode extends a copy of that reduction with only its
 own promoted rows, and that work is in its decoder's share.  Trial
-generation (data, generator, channel) is charged to none.  A finder, a
-coset or a rank that sd and tgrand share (`SyndromeSystem.finder`) is
-charged only to the decoder run first, so the sd and tgrand columns are
-not standalone costs.
+generation (data, generator, channel) is charged to none.  A search or
+a coset that sd and tgrand share (`SyndromeSystem.search`) is charged
+only to the decoder run first, so the sd and tgrand columns are not
+standalone costs.
 
 Each N's trials are cut into passes: as few spans of at most _BATCH_BITS
 channel bits (trials × N × B) as hold them, sizes differing by at most one

@@ -7,8 +7,8 @@ consistent with that syndrome.  Candidates are queried in weight order
 (0, 1, 2, ...), lexicographic by support within a weight, so runs are
 reproducible; a query cap bounds the search per column.
 
-This is `tgrand.weight_order`, one finder for every column; when tgrand
-shares it is the rule of `SyndromeSystem.finder`.  The estimate and the
+This is `tgrand.weight_order`, one search for every column; when tgrand
+shares it is the rule of `SyndromeSystem.search`.  The estimate and the
 query count equal those of walking the weight order to the first hit, or
 to the cap.
 """
@@ -33,7 +33,7 @@ def sd_repair(system: SyndromeSystem, query_cap: int = DEFAULT_QUERY_CAP) -> Rep
 
     Columns whose search exceeds the cap are left all-zero and reported
     in `unresolved`.  The weight order ignores the previous column, so
-    its one finder serves every prior and every target.
+    its one search serves every prior and every target.
     """
     order = weight_order(system.num_unknowns)
     return repair_columns(system, lambda prior: order, query_cap)

@@ -14,10 +14,10 @@ repair.  Columns are solved left to right, each estimate seeding the
 next column's prior; the prior for the first column is all-zero because
 the chains start in the good state.
 
-The first hit is found with the system's finder (`search.py`), which
+The first hit is found with the shared search (`search.py`), which
 asks the order for the coset member it queries first
 (`LikelihoodOrder.first`): at once where the coset dimension is at most
-rank(ht), after a scan misses elsewhere.  A candidate's position
+rank(ht), after its scan misses elsewhere.  A candidate's position
 is
 
     offset of class (l0, l1) in sorted_classes
@@ -29,7 +29,7 @@ only in the earliest class.  The estimate and the reported query count
 equal those of walking the order to the first hit, or to the query cap.
 
 An order is a prior plus its class table (`LikelihoodOrder`); which
-finders sd and tgrand share is the rule of `SyndromeSystem.finder`.
+searches sd and tgrand share is the rule of `SyndromeSystem.search`.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def tg_solve_column(
         raise ValueError(f"prior length {prior.length} does not match {ht.cols} unknowns")
     system = SyndromeSystem(ht=ht, s=BitMatrix.trusted(len(s), 1, _binary(s, "syndrome")))
     order = likelihood_order(bits_to_mask(prior.prev), ht.cols, params.p01, params.p10)
-    mask, _ = system.finder(order, query_cap)(system.runs[0][2])
+    mask, _ = system.search(order, query_cap).find(system.runs[0][2])
     return None if mask is None else mask_to_bits(mask, ht.cols)
 
 
@@ -202,8 +202,8 @@ def tg_repair(
     """Estimate all B error columns, chaining each estimate into the next prior.
 
     A capped-out column is left all-zero and the next column restarts
-    from the all-zero prior.  Each prior's lookups are the system's finder
-    in its likelihood order (`SyndromeSystem.finder`).
+    from the all-zero prior.  Each prior's search is the system's search
+    in its likelihood order (`SyndromeSystem.search`).
     """
     l, p01, p10 = system.num_unknowns, params.p01, params.p10
     return repair_columns(system, lambda prior: likelihood_order(prior, l, p01, p10), query_cap)

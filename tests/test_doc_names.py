@@ -1,7 +1,7 @@
 """Every backticked name in the package source, the scripts, the test
 oracles and the README that names package code resolves.
 
-A dotted name such as `gf2.Echelon` or `SyndromeSystem.finder` in a
+A dotted name such as `gf2.Echelon` or `SyndromeSystem.search` in a
 docstring, a comment or the README, whose head is a package module or a
 package class, must name a module attribute or a class member that
 exists.  A bare CamelCase or UPPER_CASE name such as `LikelihoodOrder`,
@@ -90,6 +90,5 @@ def test_a_stale_name_is_caught():
     assert not resolves("pipeline.repair_and_redecode")
     assert not resolves("SearchCore")
     assert BARE.findall("`SearchCore`, ``MEMO_MASKS``, `G_R`, `s`") == ["SearchCore", "MEMO_MASKS"]
-    assert not resolves("SyndromeSystem.search")
-    assert resolves("SyndromeSystem.finder")
+    assert resolves("SyndromeSystem.search")
     assert resolves("SyndromeSystem") and resolves("ValueError")

@@ -72,11 +72,11 @@ class TestCoset:
         # the empty and the full mask are always checked.  The cap 2^L
         # leaves no answer capped.
         ht = random_bit_matrix(hseed, checks, unknowns)
-        find = no_runs(ht).finder(sd.weight_order(unknowns), 1 << unknowns)
+        search = no_runs(ht).search(sd.weight_order(unknowns), 1 << unknowns)
         full = (1 << unknowns) - 1
         for m in [0, full, *data.draw(st.lists(st.integers(0, full), max_size=20))]:
             target = syndrome_of_mask(ht, m)
-            mask, _ = find(target)
+            mask, _ = search.find(target)
             assert mask is not None and syndrome_of_mask(ht, mask) == target
 
     def test_lex_rank_follows_combinations(self):
@@ -221,11 +221,11 @@ class TestSystemSearch:
         with pytest.raises(ValueError, match="syndrome row count must match"):
             sd.SyndromeSystem(ht=BitMatrix.zeros(2, 3), s=BitMatrix.zeros(3, 4))
 
-    def test_rank_regime_lookups_and_ranks(self, monkeypatch):
-        # ht = I_3 has d = 0 against rank 3, so a lookup ranks the target's
+    def test_one_search_lookup_per_prior(self, monkeypatch):
+        # ht = I_3 has d = 0 against rank 3, so a search ranks the target's
         # one-member coset and no order draws a mask.  Each column's
         # estimate is its target, whatever the order: the estimates 1, 1,
-        # 2, 2, 4, 3, 0, 5 take six values.  Both decoders ask for a finder
+        # 2, 2, 4, 3, 0, 5 take six values.  Both decoders look up a search
         # once per prior the walk meets (0 and every estimate); sd's six
         # lookups name its one order.  Each decoder ranks each of the six
         # distinct targets once; tgrand answers the second column of the
@@ -233,10 +233,10 @@ class TestSystemSearch:
         targets = (1, 1, 2, 2, 4, 3, 0, 5)
         s = BitMatrix.trusted(len(targets), 3, targets).transpose()
         lookups, ranks, draws = [], [], []
-        finder, first = sd.SyndromeSystem.finder, tgrand.LikelihoodOrder.first
+        search, first = sd.SyndromeSystem.search, tgrand.LikelihoodOrder.first
         masks = tgrand.LikelihoodOrder.masks
         monkeypatch.setattr(
-            sd.SyndromeSystem, "finder", lambda sy, o, c: lookups.append(o) or finder(sy, o, c)
+            sd.SyndromeSystem, "search", lambda sy, o, c: lookups.append(o) or search(sy, o, c)
         )
         monkeypatch.setattr(tgrand.LikelihoodOrder, "first", lambda o, m: ranks.append(m) or first(o, m))
         monkeypatch.setattr(tgrand.LikelihoodOrder, "masks", lambda o: draws.append(o) or masks(o))
@@ -257,9 +257,10 @@ class TestSystemSearch:
     @pytest.mark.parametrize("hseed", range(3))
     def test_caps_in_either_order_equal_fresh_systems(self, checks, hseed):
         # A small cap then the default cap on one system, and the reverse,
-        # give what fresh systems give: the rank memo is kept without the
-        # cap, so neither cap's answers leak into the other's.  5 checks
-        # over 8 unknowns rank the cosets, 2 checks scan.
+        # give what fresh systems give: each cap has its own search, so
+        # neither cap's answers leak into the other's, and only the cosets
+        # are shared.  5 checks over 8 unknowns rank the cosets, 2 checks
+        # scan.
         ht, s = random_bit_matrix(hseed, checks, 8), random_bit_matrix(hseed + 50, checks, 40)
         params = ChannelParams(p01=0.1, p10=0.3)
         for run in (sd.sd_repair, lambda system, cap: tgrand.tg_repair(system, params, cap)):
@@ -272,26 +273,30 @@ class TestSystemSearch:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 8), seed, st.integers(1, 300), st.integers(0, 255))
     def test_regime_routing(self, checks, unknowns, hseed, cap, prior):
-        # Where d <= rank(ht), a finder draws no mask and ranks each
-        # target's 2^d coset members once, whatever the cap; where d >
-        # rank(ht) it scans, drawing at most min(2^d, cap) masks.  Every
-        # answer is the order's first hit.
+        # Where d <= rank(ht), a search draws no mask and ranks each
+        # target's 2^d coset members once; where d > rank(ht) it scans,
+        # drawing at most min(2^d, cap) masks.  Every answer is the order's
+        # first hit, and asking again ranks and draws nothing.
         ht = random_bit_matrix(hseed, checks, unknowns)
         system = no_runs(ht)
         prior &= (1 << unknowns) - 1
         for real in (sd.weight_order(unknowns), tgrand.likelihood_order(prior, unknowns, 0.1, 0.7)):
             stream, order = list(real.masks()), Counting(real)
             for query_cap in (cap, DEFAULT_QUERY_CAP):
-                find, drawn, ranked = system.finder(order, query_cap), order.drawn, order.ranked
+                find, drawn = system.search(order, query_cap).find, order.drawn
                 for target in range(1 << checks):
                     before = order.ranked
                     assert find(target) == first_hit(stream, ht, target, query_cap)
                     assert order.ranked - before <= 1 << system.dim
                 if 2 * system.dim <= unknowns:
                     assert order.drawn == 0
-                    assert query_cap == cap or order.ranked == ranked
                 else:
                     assert order.drawn - drawn <= min(1 << system.dim, query_cap)
+                work = order.drawn, order.ranked
+                assert [find(t) for t in range(1 << checks)] == [
+                    first_hit(stream, ht, t, query_cap) for t in range(1 << checks)
+                ]
+                assert (order.drawn, order.ranked) == work
 
     @pytest.mark.parametrize("hseed", range(4))
     @pytest.mark.parametrize("query_cap", [3, 1 << 20])
@@ -315,7 +320,7 @@ class TestSystemSearch:
             assert runs[second](system) == expected[second]
 
     def test_repairs_leave_no_reference_cycle(self):
-        # The system holds its finders and each finder holds the system's
+        # The system holds its searches and each search holds the system's
         # columns, kernel, `particular` and cosets, never the system, so
         # refcounting alone frees a used system.  Both regimes run: 5
         # checks over 8 unknowns rank the cosets, 2 checks scan.
@@ -430,7 +435,7 @@ class TestCapAtDriverSizes:
             prior = 0
             for (mask, q), target in zip(tg_capped, system.s.col_ints()):
                 order = tgrand.likelihood_order(prior, unknowns, params.p01, params.p10)
-                hit = system.finder(order, DEFAULT_QUERY_CAP)(target)
+                hit = system.search(order, DEFAULT_QUERY_CAP).find(target)
                 assert (mask, q) == truncated(hit, cap, unknowns)
                 prior = mask or 0
 

@@ -146,13 +146,13 @@ class TestWeightOrder:
         sd_masks = list(sd.weight_order(l).masks())
         system = sd.SyndromeSystem(ht=random_bit_matrix(l, 3, l), s=BitMatrix.zeros(3, 2))
         cap = sd.DEFAULT_QUERY_CAP
-        sd_search = system.finder(sd.weight_order(l), cap)
+        sd_search = system.search(sd.weight_order(l), cap)
         own_order = tgrand.LikelihoodOrder(0, l, tgrand._class_table(0.1, 0.3, l, 0))
-        own_search = system.finder(own_order, cap)
+        own_search = system.search(own_order, cap)
         assert own_search is not sd_search
         for target in range(1 << 3):
-            assert own_search(target) == sd_search(target)
-        assert system.finder(sd.weight_order(l), cap + 1) is not sd_search
+            assert own_search.find(target) == sd_search.find(target)
+        assert system.search(sd.weight_order(l), cap + 1) is not sd_search
         priors = {1, (1 << l) - 1, 0b101101101101 & ((1 << l) - 1)} - {0}
         for p01 in (*(i / 32 for i in range(33)), 0.1, 0.6, 0.9):
             for p10 in (*(j / 32 for j in range(1, 33)), 0.3):
@@ -162,7 +162,7 @@ class TestWeightOrder:
                     (c.l0, c.l1) for c in tgrand.sorted_classes(ChannelParams(p01, p10), l, 0)
                 )
                 assert (order is sd.weight_order(l)) == (table == weights)
-                tg_search = system.finder(order, cap)
+                tg_search = system.search(order, cap)
                 if p01 <= 0.5:
                     assert masks == sd_masks
                     assert table == weights
